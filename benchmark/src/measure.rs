@@ -257,3 +257,55 @@ pub fn median(values: &mut [f64]) -> f64 {
         (values[n / 2 - 1] + values[n / 2]) / 2.0
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn samples(ns: &[u64]) -> Samples {
+        let mut s = Samples::default();
+        for &v in ns {
+            s.record(Duration::from_nanos(v));
+        }
+        s
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank_across_fine_and_coarse_samples() {
+        // 1..=100 ns are counted per nanosecond; 100 µs .. 10 ms are kept raw.
+        let mut values: Vec<u64> = (1..=100).collect();
+        values.extend((1..=100).map(|i| i * 100_000));
+        let mut s = samples(&values);
+        assert_eq!(s.len(), 200);
+        let p50 = s.pct(0.5).unwrap();
+        assert_eq!((p50.ns, p50.n, p50.beyond), (100, 200, 100));
+        let p99 = s.pct(0.99).unwrap();
+        assert_eq!((p99.ns, p99.beyond), (9_800_000, 2));
+        assert_eq!(s.pct(1.0).unwrap().ns, 10_000_000);
+        assert!(Samples::default().pct(0.5).is_none());
+    }
+
+    #[test]
+    fn merge_equals_recording_everything_in_one() {
+        let (a, b) = ([5, 70_000, 3], [90_000, 12, 16_384]);
+        let mut merged = samples(&a);
+        merged.merge(&samples(&b));
+        let mut whole = samples(&[a, b].concat());
+        for q in [0.1, 0.5, 0.9, 1.0] {
+            assert_eq!(merged.pct(q).unwrap().ns, whole.pct(q).unwrap().ns);
+        }
+        assert_eq!(merged.sum_ns(), whole.sum_ns());
+    }
+
+    #[test]
+    fn a_seed_fixes_the_stream() {
+        let draw = |seed, stream| {
+            let mut r = Rng::new(seed, stream);
+            (0..8).map(|_| r.below(4096)).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(7, 1), draw(7, 1));
+        assert_ne!(draw(7, 1), draw(7, 2));
+        assert_ne!(draw(7, 1), draw(8, 1));
+        assert!(draw(7, 1).iter().all(|&k| k < 4096));
+    }
+}
