@@ -3,7 +3,7 @@
 //! name and unit; the last stdout line is one JSON object:
 //!
 //! ```text
-//! stm-repo-bench --workload <rbtree-mem|svc-spread|svc-hot> --seed <n> \
+//! stm-repo-bench --workload <rbtree-mem|svc-spread> --seed <n> \
 //!                --seconds <n> --trace <0|1>
 //! ```
 //!
@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 use tinystm::StatsSnapshot;
 
-const USAGE: &str = "usage: stm-repo-bench --workload <rbtree-mem|svc-spread|svc-hot> \
+const USAGE: &str = "usage: stm-repo-bench --workload <rbtree-mem|svc-spread> \
                      --seed <u64> --seconds <1..=600> --trace <0|1>";
 
 /// Scratch space for WAL directories and span files, relative to the
@@ -41,13 +41,12 @@ pub const REPS: usize = 5;
 /// Extra set-ups an untraced run times (and tears down) before the
 /// repetitions, so that `setup_s` is the median of `REPS + EXTRA_SETUPS`
 /// samples.
-pub const EXTRA_SETUPS: usize = 10;
+pub const EXTRA_SETUPS: usize = 100;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Workload {
     RbtreeMem,
     SvcSpread,
-    SvcHot,
 }
 
 impl Workload {
@@ -55,7 +54,6 @@ impl Workload {
         match s {
             "rbtree-mem" => Some(Workload::RbtreeMem),
             "svc-spread" => Some(Workload::SvcSpread),
-            "svc-hot" => Some(Workload::SvcHot),
             _ => None,
         }
     }
@@ -64,7 +62,6 @@ impl Workload {
         match self {
             Workload::RbtreeMem => "rbtree-mem",
             Workload::SvcSpread => "svc-spread",
-            Workload::SvcHot => "svc-hot",
         }
     }
 }
@@ -358,7 +355,7 @@ fn run(args: &Args) -> Result<Report, String> {
     let mut report = Report::default();
     match args.workload {
         Workload::RbtreeMem => rbtree::run(args, &mut report)?,
-        Workload::SvcSpread | Workload::SvcHot => service::run(args, &mut report)?,
+        Workload::SvcSpread => service::run(args, &mut report)?,
     }
     report.error_ratio();
     if !args.trace {

@@ -1,21 +1,16 @@
-//! The service workloads. Both run an `StmService` over
-//! `DurableEngine::new_grouped` with two shards and one store per shard,
-//! with the library's default group-commit and service settings.
+//! `svc-spread`: an `StmService` over `DurableEngine::new_grouped` with two
+//! shards and one store per shard, with the library's default group-commit
+//! and service settings. Two closed-loop clients, each its own tenant, put
+//! uniformly random keys out of 4096 per tenant; client 0 checkpoints
+//! every `CHECKPOINT_EVERY` of its own acked puts. After the window each
+//! tenant's keys are read back through `StmService::get` (the workload's
+//! get latencies) and checked against the last acked value.
 //!
-//! * `svc-spread`: two closed-loop clients, each its own tenant, put
-//!   uniformly random keys out of 4096 per tenant; client 0 checkpoints
-//!   every `CHECKPOINT_EVERY` of its own acked puts. After the window
-//!   each tenant's keys are read back through `StmService::get` (the
-//!   workload's get latencies) and checked against the last acked value.
-//!   Its untraced run stores the WAL in a `MemStore` per shard: the same
-//!   service, group-commit and append path without fsync, because fsync
-//!   latency on a shared virtual disk drifts too much between runs to
-//!   bound (figures in `README.md`). The
-//!   traced run adds the same traffic over a `FileStore` per shard on
-//!   disk, which gives the fsync ladder.
-//! * `svc-hot`: two open-loop generators on one tenant and four keys,
-//!   half puts and half gets, at `HOT_RATE` operations per second in
-//!   total, over `FileStore`s; each operation is timed from its due time.
+//! The untraced run stores the WAL in a `MemStore` per shard: the same
+//! service, group-commit and append path without fsync, because fsync
+//! latency on a shared virtual disk drifts too much between runs to bound
+//! (figures in `README.md`). The traced run adds the same traffic over a
+//! `FileStore` per shard on disk, which gives the fsync ladder.
 //!
 //! Every phase ends with the same check: after `stop`, the state read
 //! with `read_all` must equal, key for key, the state that
@@ -23,9 +18,7 @@
 
 use crate::measure::{fs_type, median, Rng, Samples, SpanLog};
 use crate::store::{StoreTrace, TimedStore};
-use crate::{
-    absent, core_metrics, note_pct, write_spans, Args, Report, Workload, EXTRA_SETUPS, REPS,
-};
+use crate::{absent, core_metrics, note_pct, write_spans, Args, Report, EXTRA_SETUPS, REPS};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -36,68 +29,22 @@ use stm_wal::{FileStore, GroupCommitConfig, MemStore, WalStore};
 use tinystm::{StatsSnapshot, Stm, StmConfig};
 
 const SHARDS: usize = 2;
+/// Closed-loop clients, each its own tenant.
 const CLIENTS: usize = 2;
-const SPREAD_KEYS: u64 = 4096;
+const KEYS_PER_TENANT: u64 = 4096;
 const CHECKPOINT_EVERY: u64 = 1024;
-const HOT_KEYS: u64 = 4;
-/// Offered rate of `svc-hot`, operations per second over both generators.
-const HOT_RATE: f64 = 1000.0;
-/// Sub-windows per measured repetition: `svc-hot` keeps each repetition
-/// whole, so that each sub-window holds well over 1000 puts.
-const SPREAD_SUBS: usize = 2;
-const HOT_SUBS: usize = 1;
+/// Sub-windows per measured repetition.
+const SUBS: usize = 2;
 const WARMUP: Duration = Duration::from_millis(300);
-/// The open-loop generator sleeps until this long before an operation is
-/// due, then yields until it is.
-const SPIN: Duration = Duration::from_micros(150);
-
-/// Where a stack keeps its WAL.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Backing {
-    /// One `FileStore` per shard, under the run's directory.
-    Disk,
-    /// One `MemStore` per shard: the same path without fsync.
-    Mem,
-}
-
-#[derive(Clone, Copy)]
-struct Shape {
-    workload: Workload,
-    tenants: usize,
-    keys_per_tenant: u64,
-    sub_windows: usize,
-    /// The backing of the untraced run.
-    backing: Backing,
-}
-
-impl Shape {
-    fn of(w: Workload) -> Shape {
-        match w {
-            Workload::SvcSpread => Shape {
-                workload: w,
-                tenants: CLIENTS,
-                keys_per_tenant: SPREAD_KEYS,
-                sub_windows: SPREAD_SUBS,
-                backing: Backing::Mem,
-            },
-            _ => Shape {
-                workload: w,
-                tenants: 1,
-                keys_per_tenant: HOT_KEYS,
-                sub_windows: HOT_SUBS,
-                backing: Backing::Disk,
-            },
-        }
-    }
-
-    fn n_keys(&self) -> usize {
-        self.tenants * self.keys_per_tenant as usize
-    }
-
-    fn hot(&self) -> bool {
-        self.workload == Workload::SvcHot
-    }
-}
+/// A read-back get takes well under a microsecond, so one read-back
+/// sample is this many consecutive gets timed together and divided; two
+/// clock reads per get would be much of what is measured.
+const GET_BLOCK: u64 = 64;
+/// Passes of the read-back over a tenant's keys, so that each client's
+/// read-back holds `READBACK_PASSES * KEYS_PER_TENANT / GET_BLOCK`
+/// samples, enough for ten beyond its p90.
+const READBACK_PASSES: u64 = 8;
+const READBACK_STRIDE: u64 = 2731;
 
 /// What the clients call: the service, or (the durable rung of the
 /// traced run) the engine directly.
@@ -107,9 +54,9 @@ enum Front {
 }
 
 struct Stack {
-    dir: PathBuf,
-    shape: Shape,
-    backing: Backing,
+    /// `Some`: one `FileStore` per shard under this directory. `None`: one
+    /// `MemStore` per shard, the same path without fsync.
+    dir: Option<PathBuf>,
     /// The unwrapped store of each shard.
     base: Vec<Arc<dyn WalStore>>,
     front: Front,
@@ -117,24 +64,18 @@ struct Stack {
 }
 
 impl Stack {
-    /// Fresh stores (under `dir` on disk), an engine over them, and
-    /// (unless `direct`) a service in front. `traced` wraps each store in
-    /// the timing wrapper.
-    fn build(
-        dir: &Path,
-        shape: Shape,
-        backing: Backing,
-        traced: bool,
-        direct: bool,
-    ) -> Result<Stack, String> {
-        let base = match backing {
-            Backing::Disk => {
+    /// Fresh stores (under `dir` on disk, else in memory), an engine over
+    /// them, and (unless `direct`) a service in front. `traced` wraps each
+    /// store in the timing wrapper.
+    fn build(dir: Option<&Path>, traced: bool, direct: bool) -> Result<Stack, String> {
+        let base = match dir {
+            Some(dir) => {
                 let _ = std::fs::remove_dir_all(dir);
                 (0..SHARDS)
                     .map(|i| open_store(dir, i).map(|s| s as Arc<dyn WalStore>))
                     .collect::<Result<Vec<_>, String>>()?
             }
-            Backing::Mem => (0..SHARDS)
+            None => (0..SHARDS)
                 .map(|_| MemStore::healthy() as Arc<dyn WalStore>)
                 .collect(),
         };
@@ -148,7 +89,7 @@ impl Stack {
             .collect();
         let engine = DurableEngine::<Stm>::new_grouped(
             SHARDS,
-            shape.n_keys(),
+            n_keys(),
             &StmConfig::default(),
             stores,
             GroupCommitConfig::default(),
@@ -159,14 +100,12 @@ impl Stack {
             Front::Direct(engine)
         } else {
             let config = ServiceConfig::default()
-                .with_tenants(shape.tenants)
-                .with_keys_per_tenant(shape.keys_per_tenant as usize);
+                .with_tenants(CLIENTS)
+                .with_keys_per_tenant(KEYS_PER_TENANT as usize);
             Front::Service(StmService::start(engine, config))
         };
         Ok(Stack {
-            dir: dir.to_path_buf(),
-            shape,
-            backing,
+            dir: dir.map(Path::to_path_buf),
             base,
             front,
             trace,
@@ -184,7 +123,7 @@ impl Stack {
         match &self.front {
             Front::Service(s) => s.put(tenant, key, value).map_err(|e| e.to_string()),
             Front::Direct(e) => e
-                .put(tenant as u64 * self.shape.keys_per_tenant + key, value)
+                .put(tenant as u64 * KEYS_PER_TENANT + key, value)
                 .map_err(|e| e.to_string()),
         }
     }
@@ -192,7 +131,7 @@ impl Stack {
     fn get(&self, tenant: usize, key: u64) -> Result<u64, String> {
         match &self.front {
             Front::Service(s) => s.get(tenant, key).map_err(|e| e.to_string()),
-            Front::Direct(e) => Ok(e.get(tenant as u64 * self.shape.keys_per_tenant + key)),
+            Front::Direct(e) => Ok(e.get(tenant as u64 * KEYS_PER_TENANT + key)),
         }
     }
 
@@ -221,26 +160,21 @@ impl Stack {
         }
         let recorded = self.engine().read_all();
         let Stack {
-            dir,
-            shape,
-            backing,
-            base,
-            front,
-            ..
+            dir, base, front, ..
         } = self;
         drop(front);
-        let stores = match backing {
-            Backing::Disk => (0..SHARDS)
-                .map(|i| open_store(&dir, i).map(|s| s as Arc<dyn WalStore>))
+        let stores = match &dir {
+            Some(dir) => (0..SHARDS)
+                .map(|i| open_store(dir, i).map(|s| s as Arc<dyn WalStore>))
                 .collect::<Result<Vec<_>, String>>()?,
-            Backing::Mem => base
+            None => base
                 .iter()
                 .map(|s| MemStore::rebooted(s.as_ref()) as Arc<dyn WalStore>)
                 .collect(),
         };
         let (recovered, _) = DurableEngine::<Stm>::recover_grouped(
             SHARDS,
-            shape.n_keys(),
+            n_keys(),
             &StmConfig::default(),
             stores,
             GroupCommitConfig::default(),
@@ -256,11 +190,15 @@ impl Stack {
         if recorded.len() != recovered.len() {
             return Err("recovered state has a different key set".into());
         }
-        if backing == Backing::Disk {
+        if let Some(dir) = dir {
             std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
         }
         Ok(recorded)
     }
+}
+
+fn n_keys() -> usize {
+    CLIENTS * KEYS_PER_TENANT as usize
 }
 
 fn open_store(dir: &Path, shard: usize) -> Result<Arc<FileStore>, String> {
@@ -275,29 +213,25 @@ struct Client {
     failed: u64,
     first_error: Option<String>,
     acked_puts: u64,
-    gets: u64,
-    /// Latencies of the window's operations, per sub-window.
+    /// Latencies of the window's puts, per sub-window.
     put_lat: Vec<Samples>,
-    get_lat: Vec<Samples>,
-    /// Latencies of the `svc-spread` read-back after the window.
+    /// Per-get latencies of the read-back after the window, one sample per
+    /// block of `GET_BLOCK` gets.
     readback: Samples,
-    /// How late the open-loop generator sent each operation.
-    lag: Samples,
     spans: SpanLog,
     /// Last acked value per tenant-local key (0: never written).
     last: Vec<u64>,
-    /// Gets that returned a value no put could have written.
+    /// Read-back gets that did not return the last acked value.
     bad_gets: u64,
     /// When the last operation issued inside the window completed.
     last_end: Option<Instant>,
 }
 
 impl Client {
-    fn new(keys: u64, win: &Window) -> Client {
+    fn new(win: &Window) -> Client {
         Client {
-            last: vec![0; keys as usize],
+            last: vec![0; KEYS_PER_TENANT as usize],
             put_lat: (0..win.subs).map(|_| Samples::default()).collect(),
-            get_lat: (0..win.subs).map(|_| Samples::default()).collect(),
             ..Client::default()
         }
     }
@@ -311,7 +245,6 @@ impl Client {
 /// The measured window of one phase.
 #[derive(Clone, Copy)]
 struct Window {
-    start: Instant,
     record_from: Instant,
     deadline: Instant,
     subs: usize,
@@ -333,20 +266,19 @@ impl Window {
     }
 }
 
-/// A value that names its writer, key and sequence number, so a read can
-/// be checked against what could have been written.
+/// A value that names its writer, key and sequence number.
 fn value_of(client: usize, key: u64, seq: u64) -> u64 {
     ((client as u64 + 1) << 56) | (key << 40) | seq
 }
 
-fn key_of(value: u64) -> u64 {
-    (value >> 40) & 0xFFFF
+fn req_id(client: usize, seq: u64) -> u64 {
+    ((client as u64) << 48) | seq
 }
 
-/// `svc-spread` client `c`: closed loop of puts to random keys of its own
-/// tenant until the deadline.
-fn spread_client(stack: &Stack, c: usize, rng: &mut Rng, win: Window, names: Names) -> Client {
-    let mut cl = Client::new(SPREAD_KEYS, &win);
+/// Client `c`: closed loop of puts to random keys of its own tenant until
+/// the deadline. `names` are the span names of the put and checkpoint.
+fn client(stack: &Stack, c: usize, rng: &mut Rng, win: Window, names: [&'static str; 2]) -> Client {
+    let mut cl = Client::new(&win);
     let traced = stack.trace.is_some();
     let mut own_acked = 0u64;
     let mut seq = 0u64;
@@ -357,7 +289,7 @@ fn spread_client(stack: &Stack, c: usize, rng: &mut Rng, win: Window, names: Nam
         }
         let slot = win.slot(start);
         seq += 1;
-        let key = rng.below(SPREAD_KEYS);
+        let key = rng.below(KEYS_PER_TENANT);
         let value = value_of(c, key, seq);
         let r = stack.put(c, key, value);
         let end = Instant::now();
@@ -374,7 +306,7 @@ fn spread_client(stack: &Stack, c: usize, rng: &mut Rng, win: Window, names: Nam
                     cl.acked_puts += 1;
                     cl.put_lat[i].record(end - start);
                     if traced {
-                        cl.spans.push(names.put, start, end, Some(req_id(c, seq)));
+                        cl.spans.push(names[0], start, end, Some(req_id(c, seq)));
                     }
                 }
             }
@@ -386,123 +318,41 @@ fn spread_client(stack: &Stack, c: usize, rng: &mut Rng, win: Window, names: Nam
                 cl.fail(format!("checkpoint: {e}"));
             }
             if traced && slot.is_some() {
-                cl.spans.push(names.checkpoint, t, Instant::now(), None);
+                cl.spans.push(names[1], t, Instant::now(), None);
             }
         }
     }
     cl
 }
 
-/// Read back every key of client `c`'s tenant, one reader at a time on
-/// the idle service, and check each holds the client's last acked value.
+/// Read back every key of client `c`'s tenant `READBACK_PASSES` times,
+/// in a strided order, one reader at a time on the idle stack, and check each get returns the
+/// client's last acked value. `StmService::get` reads the engine directly
+/// (no queue, executor or WAL), so these figures time the backend's read
+/// path only.
 fn read_back(stack: &Stack, c: usize, cl: &mut Client) {
-    for key in 0..SPREAD_KEYS {
-        let start = Instant::now();
-        let r = stack.get(c, key);
-        let end = Instant::now();
-        cl.attempted += 1;
-        match r {
-            Ok(v) => {
-                cl.readback.record(end - start);
-                if v != cl.last[key as usize] {
-                    cl.bad_gets += 1;
+    for _ in 0..READBACK_PASSES {
+        for block in 0..KEYS_PER_TENANT / GET_BLOCK {
+            let start = Instant::now();
+            for i in block * GET_BLOCK..(block + 1) * GET_BLOCK {
+                // An odd stride visits every key once per pass without
+                // walking adjacent words, so the hardware prefetcher does
+                // not decide the figure.
+                let key = i * READBACK_STRIDE % KEYS_PER_TENANT;
+                match stack.get(c, key) {
+                    Ok(v) => cl.bad_gets += u64::from(v != cl.last[key as usize]),
+                    Err(e) => cl.fail(e),
                 }
             }
-            Err(e) => cl.fail(e),
+            cl.readback.record(start.elapsed() / GET_BLOCK as u32);
+            cl.attempted += GET_BLOCK;
         }
     }
 }
 
-fn req_id(client: usize, seq: u64) -> u64 {
-    ((client as u64) << 48) | seq
-}
-
-/// `svc-hot` generator `g`: open loop at `HOT_RATE / CLIENTS`, half puts
-/// and half gets on the hot keys, each timed from its due time.
-fn hot_client(stack: &Stack, g: usize, rng: &mut Rng, win: Window, names: Names) -> Client {
-    let mut cl = Client::new(HOT_KEYS, &win);
-    let traced = stack.trace.is_some();
-    let interval = Duration::from_secs_f64(CLIENTS as f64 / HOT_RATE);
-    let mut due = win.start + interval * g as u32 / CLIENTS as u32;
-    let mut seq = 0u64;
-    while due < win.deadline {
-        wait_until(due);
-        seq += 1;
-        let slot = win.slot(due);
-        let key = rng.below(HOT_KEYS);
-        let put = rng.below(2) == 0;
-        let sent = Instant::now();
-        let r = if put {
-            let value = value_of(g, key, seq);
-            stack.put(0, key, value).map(|()| {
-                cl.last[key as usize] = value;
-                None
-            })
-        } else {
-            stack.get(0, key).map(Some)
-        };
-        let end = Instant::now();
-        cl.attempted += 1;
-        if slot.is_some() {
-            cl.lag.record(sent - due);
-            cl.last_end = Some(end);
-        }
-        match r {
-            Ok(got) => {
-                if let Some(v) = got {
-                    if v != 0 && key_of(v) != key {
-                        cl.bad_gets += 1;
-                    }
-                }
-                if let Some(i) = slot {
-                    let (lat, name) = if put {
-                        cl.acked_puts += 1;
-                        (&mut cl.put_lat[i], names.put)
-                    } else {
-                        cl.gets += 1;
-                        (&mut cl.get_lat[i], names.get)
-                    };
-                    lat.record(end - due);
-                    if traced {
-                        cl.spans.push(name, sent, end, Some(req_id(g, seq)));
-                    }
-                }
-            }
-            Err(e) => cl.fail(e),
-        }
-        due += interval;
-    }
-    cl
-}
-
-fn wait_until(due: Instant) {
-    let now = Instant::now();
-    if due > now + SPIN {
-        std::thread::sleep(due - now - SPIN);
-    }
-    while Instant::now() < due {
-        std::thread::yield_now();
-    }
-}
-
-/// Span names of one rung.
-#[derive(Clone, Copy)]
-struct Names {
-    put: &'static str,
-    get: &'static str,
-    checkpoint: &'static str,
-}
-
-const SERVICE_NAMES: Names = Names {
-    put: "client.put",
-    get: "client.get",
-    checkpoint: "client.checkpoint",
-};
-const DURABLE_NAMES: Names = Names {
-    put: "durable.put",
-    get: "durable.get",
-    checkpoint: "durable.checkpoint",
-};
+/// Span names of the service rung and of the durable rung.
+const SERVICE_NAMES: [&str; 2] = ["client.put", "client.checkpoint"];
+const DURABLE_NAMES: [&str; 2] = ["durable.put", "durable.checkpoint"];
 
 /// One measured phase over one stack.
 struct Phase {
@@ -522,25 +372,23 @@ impl Phase {
         self.clients.iter().map(f).sum()
     }
 
-    fn merged(&self, f: impl Fn(&Client) -> &Samples) -> Samples {
-        let mut all = Samples::default();
-        for c in &self.clients {
-            all.merge(f(c));
-        }
-        all
-    }
-
-    /// Per-sub-window samples merged over the clients.
-    fn windows(&self, f: impl Fn(&Client) -> &Vec<Samples>) -> Vec<Samples> {
+    /// Per-sub-window put latencies merged over the clients.
+    fn put_windows(&self) -> Vec<Samples> {
         (0..self.win.subs)
-            .map(|i| self.merged(|c| &f(c)[i]))
+            .map(|i| {
+                let mut all = Samples::default();
+                for c in &self.clients {
+                    all.merge(&c.put_lat[i]);
+                }
+                all
+            })
             .collect()
     }
 
-    /// All of the window's samples.
-    fn all(&self, f: impl Fn(&Client) -> &Vec<Samples>) -> Samples {
+    /// All of the window's put latencies.
+    fn puts(&self) -> Samples {
         let mut all = Samples::default();
-        for w in self.windows(f) {
+        for w in self.put_windows() {
             all.merge(&w);
         }
         all
@@ -559,28 +407,28 @@ impl Phase {
     }
 }
 
-/// Drive `stack` with the shape's clients for a warm-up and `window`,
-/// then stop it, check it and recover it.
-fn measure(stack: Stack, seed: u64, window: Duration, names: Names) -> Result<Phase, String> {
+/// Drive `stack` with the clients for a warm-up and `window`, read every
+/// key back, then stop it, check it and recover it.
+fn measure(
+    stack: Stack,
+    seed: u64,
+    window: Duration,
+    subs: usize,
+    names: [&'static str; 2],
+) -> Result<Phase, String> {
     let start = Instant::now();
     let win = Window {
-        start,
         record_from: start + WARMUP,
         deadline: start + WARMUP + window,
-        subs: stack.shape.sub_windows,
+        subs,
     };
-    let hot = stack.shape.hot();
     let (clients, shards, flushes) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let stack = &stack;
                 s.spawn(move || {
                     let mut rng = Rng::new(seed, 100 + c as u64);
-                    if hot {
-                        hot_client(stack, c, &mut rng, win, names)
-                    } else {
-                        spread_client(stack, c, &mut rng, win, names)
-                    }
+                    client(stack, c, &mut rng, win, names)
                 })
             })
             .collect();
@@ -598,10 +446,8 @@ fn measure(stack: Stack, seed: u64, window: Duration, names: Names) -> Result<Ph
             .into_iter()
             .map(|h| h.join().expect("client thread panicked"))
             .collect();
-        if !hot {
-            for (c, cl) in clients.iter_mut().enumerate() {
-                read_back(&stack, c, cl);
-            }
+        for (c, cl) in clients.iter_mut().enumerate() {
+            read_back(&stack, c, cl);
         }
         let shards = after
             .0
@@ -616,7 +462,6 @@ fn measure(stack: Stack, seed: u64, window: Duration, names: Names) -> Result<Ph
         Front::Service(s) => s.overloaded(),
         Front::Direct(_) => 0,
     };
-    let shape = stack.shape;
     let state = stack.stop_and_recover()?;
     // The window as measured: from its start to the completion of the
     // last operation issued inside it.
@@ -630,54 +475,39 @@ fn measure(stack: Stack, seed: u64, window: Duration, names: Names) -> Result<Ph
         flushes,
         overloaded,
     };
-    check_values(shape, &phase, &state)?;
+    check_values(&phase, &state)?;
     Ok(phase)
 }
 
-/// Reads returned only values that were written to that key, and the
-/// final state holds what the clients were acked for.
-fn check_values(shape: Shape, phase: &Phase, state: &BTreeMap<u64, u64>) -> Result<(), String> {
+/// Every read-back get returned the last acked value, and the final state
+/// holds what the clients were acked for.
+fn check_values(phase: &Phase, state: &BTreeMap<u64, u64>) -> Result<(), String> {
     let bad = phase.sum(|c| c.bad_gets);
     if bad != 0 {
-        return Err(format!(
-            "{bad} gets returned a value not acked for that key"
-        ));
+        return Err(format!("{bad} read-back gets missed the last acked value"));
     }
     if let Some(e) = phase.clients.iter().find_map(|c| c.first_error.as_ref()) {
         println!("note: first failed operation: {e}");
     }
-    for key in 0..shape.keys_per_tenant {
-        if shape.hot() {
-            // The last put to a hot key in real time is some generator's
-            // last acked put to it.
-            let v = state[&key];
-            let candidates: Vec<u64> = phase.clients.iter().map(|c| c.last[key as usize]).collect();
-            if !candidates.contains(&v) {
+    for (tenant, c) in phase.clients.iter().enumerate() {
+        for key in 0..KEYS_PER_TENANT {
+            let held = state[&(tenant as u64 * KEYS_PER_TENANT + key)];
+            if held != c.last[key as usize] {
                 return Err(format!(
-                    "hot key {key} holds {v}, not any generator's last acked value {candidates:?}"
+                    "tenant {tenant} key {key} holds {held}, last acked {}",
+                    c.last[key as usize]
                 ));
-            }
-        } else {
-            for (tenant, c) in phase.clients.iter().enumerate() {
-                let global = tenant as u64 * shape.keys_per_tenant + key;
-                if state[&global] != c.last[key as usize] {
-                    return Err(format!(
-                        "tenant {tenant} key {key} holds {}, last acked {}",
-                        state[&global], c.last[key as usize]
-                    ));
-                }
             }
         }
     }
     println!(
-        "check: reads consistent, recovered state == memory state ({} keys)",
+        "check: read-back matches, recovered state == memory state ({} keys)",
         state.len()
     );
     Ok(())
 }
 
 pub fn run(args: &Args, report: &mut Report) -> Result<(), String> {
-    let shape = Shape::of(args.workload);
     let dir = args.work_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let fs = fs_type(&dir)?;
@@ -688,72 +518,51 @@ pub fn run(args: &Args, report: &mut Report) -> Result<(), String> {
         ));
     }
     let disk = format!("FileStore per shard under {} on {fs}", dir.display());
-    match (shape.backing, args.trace) {
-        (Backing::Disk, _) => println!("wal: {disk}"),
-        (Backing::Mem, false) => println!("wal: MemStore per shard (the traced run adds a {disk})"),
-        (Backing::Mem, true) => println!("wal: MemStore per shard, then a {disk}"),
+    match args.trace {
+        false => println!("wal: MemStore per shard (the traced run adds a {disk})"),
+        true => println!("wal: MemStore per shard, then a {disk}"),
     }
 
     if !args.trace {
         let (mut setup_s, mut phases) = (vec![], vec![]);
-        for i in 0..EXTRA_SETUPS {
+        for _ in 0..EXTRA_SETUPS {
             let t0 = Instant::now();
-            let stack = Stack::build(
-                &dir.join(format!("setup-{i}")),
-                shape,
-                shape.backing,
-                false,
-                false,
-            )?;
+            let stack = Stack::build(None, false, false)?;
             setup_s.push(t0.elapsed().as_secs_f64());
             stack.stop_and_recover()?;
         }
         for rep in 0..REPS {
             let t0 = Instant::now();
-            let rep_dir = dir.join(format!("rep-{rep}"));
-            let stack = Stack::build(&rep_dir, shape, shape.backing, false, false)?;
+            let stack = Stack::build(None, false, false)?;
             setup_s.push(t0.elapsed().as_secs_f64());
             let seed = Rng::new(args.seed, rep as u64).next();
-            phases.push(measure(
-                stack,
-                seed,
-                args.seconds / REPS as u32,
-                SERVICE_NAMES,
-            )?);
+            let window = args.seconds / REPS as u32;
+            phases.push(measure(stack, seed, window, SUBS, SERVICE_NAMES)?);
         }
-        let total = |f: &dyn Fn(&Phase) -> f64| phases.iter().map(f).sum::<f64>();
-        report.attempted = total(&|p| p.sum(|c| c.attempted) as f64) as u64;
-        report.failed = total(&|p| p.sum(|c| c.failed) as f64) as u64;
+        report.attempted = phases.iter().map(|p| p.sum(|c| c.attempted)).sum();
+        report.failed = phases.iter().map(|p| p.sum(|c| c.failed)).sum();
         let note = format!("median of {} set-ups", setup_s.len());
         report.metric("setup_s", median(&mut setup_s), "s", &note);
-        let windows = |f: &dyn Fn(&Client) -> &Vec<Samples>| -> Vec<Samples> {
-            phases.iter().flat_map(|p| p.windows(f)).collect()
-        };
-        let mut put = windows(&|c| &c.put_lat);
-        let mut get = if shape.hot() {
-            // Open loop: the rates are the offered rate as completed.
-            let secs = total(&|p| p.secs);
-            let note = format!("over {secs:.3} s");
-            let ops = total(&|p| p.sum(|c| c.acked_puts + c.gets) as f64);
-            report.metric("commit_tps", ops / secs, "1/s", &note);
-            let puts = total(&|p| p.sum(|c| c.acked_puts) as f64);
-            report.metric("acked_puts_per_s", puts / secs, "1/s", &note);
-            println!("  (svc-hot latencies from each operation's due time)");
-            windows(&|c| &c.get_lat)
-        } else {
-            let acked: Vec<u64> = put.iter().map(Samples::len).collect();
-            let secs: Vec<f64> = phases.iter().flat_map(|p| p.win.sub_secs()).collect();
-            report.windowed_rate("commit_tps", &acked, &secs, "acked puts");
-            report.windowed_rate("acked_puts_per_s", &acked, &secs, "");
-            println!("  (svc-spread gets: the read-back of every key after each repetition)");
-            let per_client = |p: &Phase| {
-                p.clients
-                    .iter()
-                    .map(|c| c.readback.clone())
-                    .collect::<Vec<_>>()
-            };
-            phases.iter().flat_map(per_client).collect()
-        };
+        let mut put: Vec<Samples> = phases.iter().flat_map(Phase::put_windows).collect();
+        let acked: Vec<u64> = put.iter().map(Samples::len).collect();
+        let secs: Vec<f64> = phases.iter().flat_map(|p| p.win.sub_secs()).collect();
+        // Every workload prints every end-to-end metric; here each acked
+        // put is one commit, so the two rates are one figure.
+        report.windowed_rate(
+            "commit_tps",
+            &acked,
+            &secs,
+            "acked puts (= acked_puts_per_s)",
+        );
+        report.windowed_rate("acked_puts_per_s", &acked, &secs, "");
+        println!(
+            "  (gets: read-back of every key x{READBACK_PASSES} after each repetition \
+             on the idle stack, {GET_BLOCK} gets per sample)"
+        );
+        let mut get: Vec<Samples> = phases
+            .iter()
+            .flat_map(|p| p.clients.iter().map(|c| c.readback.clone()))
+            .collect();
         report.windowed_pct_us("put_p50_us", &mut put, 0.50)?;
         report.windowed_pct_us("put_p90_us", &mut put, 0.90)?;
         report.windowed_pct_us("get_p50_us", &mut get, 0.50)?;
@@ -764,51 +573,38 @@ pub fn run(args: &Args, report: &mut Report) -> Result<(), String> {
         return Ok(());
     }
 
-    // Traced run. On the untraced run's backing: an untraced phase (the
-    // overhead reference) and a traced phase (the backend, router and
-    // service figures). On disk: a traced service phase (the WAL figures
-    // and the ladder) and the durable rung, which sends the same key
-    // stream straight to `DurableEngine`. When the untraced run is on
-    // disk already, its traced phase is the disk phase.
-    let on_disk = shape.backing == Backing::Disk;
-    let shares = if on_disk {
-        [0.35, 0.35, 0.0, 0.3]
-    } else {
-        [0.25, 0.25, 0.3, 0.2]
-    };
-    let phase = |i: usize, backing, traced, direct, names| -> Result<(Phase, _), String> {
-        let name = ["plain", "traced", "disk", "durable"][i];
-        let stack = Stack::build(&dir.join(name), shape, backing, traced, direct)?;
+    // Traced run, each phase on a fresh stack: over `MemStore`s an
+    // untraced phase (the overhead reference) and a traced phase (the
+    // backend, router and service figures); on disk a traced service phase
+    // (the WAL figures and the ladder) and the durable rung, which sends
+    // the same key stream straight to `DurableEngine`.
+    let phase = |disk: bool, traced, direct, share: f64, names| -> Result<(Phase, _), String> {
+        let rung = match (disk, traced, direct) {
+            (false, false, _) => "plain",
+            (false, true, _) => "traced",
+            (true, _, false) => "disk",
+            (true, _, true) => "durable",
+        };
+        let stack_dir = dir.join(rung);
+        let stack = Stack::build(disk.then_some(stack_dir.as_path()), traced, direct)?;
         let trace = stack.trace.clone();
-        let phase = measure(stack, args.seed, args.seconds.mul_f64(shares[i]), names)?;
+        let phase = measure(stack, args.seed, args.seconds.mul_f64(share), 1, names)?;
         Ok((phase, trace))
     };
-    let (plain, _) = phase(0, shape.backing, false, false, SERVICE_NAMES)?;
-    let (mut p, p_trace) = phase(1, shape.backing, true, false, SERVICE_NAMES)?;
-    let mut disk = match on_disk {
-        true => None,
-        false => Some(phase(2, Backing::Disk, true, false, SERVICE_NAMES)?),
-    };
-    let (mut d, _) = phase(3, Backing::Disk, true, true, DURABLE_NAMES)?;
-    let phases = [
-        Some(&plain),
-        Some(&p),
-        disk.as_ref().map(|x| &x.0),
-        Some(&d),
-    ];
-    report.attempted = phases
-        .iter()
-        .flatten()
-        .map(|x| x.sum(|c| c.attempted))
-        .sum();
-    report.failed = phases.iter().flatten().map(|x| x.sum(|c| c.failed)).sum();
+    let (plain, _) = phase(false, false, false, 0.25, SERVICE_NAMES)?;
+    let (mut p, _) = phase(false, true, false, 0.25, SERVICE_NAMES)?;
+    let (mut dp, trace) = phase(true, true, false, 0.3, SERVICE_NAMES)?;
+    let (mut d, _) = phase(true, true, true, 0.2, DURABLE_NAMES)?;
+    let phases = [&plain, &p, &dp, &d];
+    report.attempted = phases.iter().map(|x| x.sum(|c| c.attempted)).sum();
+    report.failed = phases.iter().map(|x| x.sum(|c| c.failed)).sum();
 
-    let puts = p.sum(|c| c.acked_puts);
     let mut core = StatsSnapshot::default();
     for s in &p.shards {
         core = core.merged(s);
     }
-    core_metrics(report, &core, p.sum(|c| c.gets), puts);
+    // The window issues puts only; the gets come after it.
+    core_metrics(report, &core, 0, p.sum(|c| c.acked_puts));
     absent(
         report,
         &[
@@ -825,46 +621,27 @@ pub fn run(args: &Args, report: &mut Report) -> Result<(), String> {
         "ratio",
         &format!("per-shard commits {commits:?}"),
     );
-
     report.metric(
         "service.overloaded",
         p.overloaded as f64,
         "count",
         "submissions refused by backpressure",
     );
-    let overhead = if shape.hot() {
-        let mut lag = p.merged(|c| &c.lag);
-        report.pct_us("client.lag_p99_us", &mut lag, 0.99)?;
-        let (traced, plain) = (
-            p.all(|c| &c.put_lat).pct(0.5),
-            plain.all(|c| &c.put_lat).pct(0.5),
-        );
-        let (traced, plain) = (
-            traced.unwrap_or_default().us(),
-            plain.unwrap_or_default().us(),
-        );
-        let note = format!("put_p50_us {plain:.1} untraced, {traced:.1} traced");
-        (traced / plain - 1.0, note)
-    } else {
-        let (traced, plain) = (p.acked_per_s(), plain.acked_per_s());
-        let note = format!("acked_puts_per_s {plain:.0} untraced, {traced:.0} traced");
-        (1.0 - traced / plain, note)
-    };
-    report.metric("trace.overhead_frac", overhead.0, "ratio", &overhead.1);
+    let (traced, untraced) = (p.acked_per_s(), plain.acked_per_s());
+    report.metric(
+        "trace.overhead_frac",
+        1.0 - traced / untraced,
+        "ratio",
+        &format!("acked_puts_per_s {untraced:.0} untraced, {traced:.0} traced"),
+    );
 
     // The ladder and the WAL figures, from the service and the durable
     // rung on disk.
-    let (dp, trace) = match &mut disk {
-        Some((phase, trace)) => (phase, trace.clone()),
-        None => (&mut p, p_trace.clone()),
-    };
     let trace = trace.expect("traced stack");
     let puts = dp.sum(|c| c.acked_puts);
-    let mut svc_put = dp.all(|c| &c.put_lat);
-    let mut rung_put = d.all(|c| &c.put_lat);
     println!("ladder (on disk, traced, p50 of one put):");
-    let svc = note_pct("put_p50_us (service)", &mut svc_put, 0.5, "");
-    let durable = report.pct_us("durable.put_p50_us", &mut rung_put, 0.50)?;
+    let svc = note_pct("put_p50_us (service)", &mut dp.puts(), 0.5, "");
+    let durable = report.pct_us("durable.put_p50_us", &mut d.puts(), 0.50)?;
     report.metric(
         "service.handoff_p50_us",
         svc.us() - durable.us(),
@@ -917,9 +694,7 @@ pub fn run(args: &Args, report: &mut Report) -> Result<(), String> {
     let mut spans = std::mem::take(&mut calls.spans);
     drop(calls);
     spans.append(d.spans());
-    if let Some((phase, _)) = &mut disk {
-        spans.append(phase.spans());
-    }
+    spans.append(dp.spans());
     spans.append(p.spans());
     let _ = std::fs::remove_dir_all(&dir);
     write_spans(args, &mut spans)
