@@ -28,9 +28,9 @@
 //!   facade: per-shard WAL sinks (per-commit or group-commit),
 //!   checkpoint inside the quiesce fence, replay-based recovery;
 //! * [`StmService`] (feature `durable`) — the multi-tenant service
-//!   layer: per-shard submission queues with bounded backpressure,
-//!   executor pools feeding the group-commit batches, checkpoints
-//!   scheduled under load.
+//!   layer: puts run on the caller's thread under a per-shard
+//!   in-flight bound, concurrent callers share the group-commit
+//!   batches, checkpoints are scheduled under load.
 //!
 //! ```
 //! use stm_engine::ShardedEngine;

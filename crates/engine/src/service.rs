@@ -1,10 +1,9 @@
 //! The multi-tenant service layer (feature `durable`): [`StmService`]
 //! lifts a [`DurableEngine`] from a library you call into a small
-//! service you *submit to* — per-shard submission queues with bounded
-//! backpressure, tenant key-namespacing, executor threads whose
-//! concurrent commits feed the shard's group-commit batches, and
-//! checkpoint scheduling that slots snapshots between batches while
-//! traffic keeps flowing.
+//! service you *submit to* — bounded per-shard admission, tenant
+//! key-namespacing, caller-thread commits that feed the shard's
+//! group-commit batches, and checkpoint scheduling that slots snapshots
+//! between batches while traffic keeps flowing.
 //!
 //! ## Shape
 //!
@@ -13,24 +12,30 @@
 //!   arithmetic — isolation comes from the engine's transactional
 //!   guarantees, not from per-tenant machinery — so tenants share the
 //!   shards, the WAL batches, and the checkpoints.
-//! * **Submission**: [`StmService::put`] enqueues onto the routed
-//!   shard's queue and blocks until an executor has committed (and the
-//!   WAL — batched, in group mode — has *acked*) the write. A full
-//!   queue rejects with the typed [`ServiceError::Overloaded`] instead
-//!   of queueing unboundedly; rejects are counted, never silent.
-//! * **Executors**: `executors_per_shard` threads per shard drain the
-//!   queue and call [`DurableEngine::put`]. Multiple executors on one
-//!   shard are the point in group-commit mode: their concurrent
-//!   commits land in the same [`stm_wal::GroupCommitter`] batch, so
-//!   one fsync acknowledges many submissions.
+//! * **Submission**: [`StmService::put`] runs [`DurableEngine::put`]
+//!   on the *calling* thread and returns once the write is committed
+//!   and the WAL — batched, in group mode — has *acked* it: as in
+//!   TinySTM, the transaction runs on the thread that wants its
+//!   result. Concurrent callers on one shard land in the same
+//!   [`stm_wal::GroupCommitter`] batch, so one fsync acknowledges many
+//!   submissions.
+//! * **Backpressure**: each shard counts its admitted, unresolved
+//!   submissions — including those blocked behind a checkpoint. A put
+//!   that would take the count past `queue_depth` is rejected with the
+//!   typed [`ServiceError::Overloaded`] instead of waiting unboundedly;
+//!   rejects are counted, never silent.
 //! * **Checkpoints under load**: each shard has a gate
-//!   (`RwLock<()>`): executors hold it shared per request,
+//!   (`RwLock<()>`): puts hold it shared for their transaction,
 //!   [`StmService::checkpoint`] takes it exclusively per shard. The
-//!   write acquisition drains in-flight requests for *that shard
-//!   only*, the engine's quiesce fence then acquires against an idle
-//!   shard instantly, and traffic on other shards never stalls. The
+//!   write acquisition drains in-flight puts for *that shard only*,
+//!   the engine's quiesce fence then acquires against an idle shard
+//!   instantly, and traffic on other shards never stalls. The
 //!   ack-latency histogram ([`StmService::ack_latency`]) makes the
 //!   resulting stall bounded and visible instead of anecdotal.
+//!
+//! The admission count and the gate are RAII guards: a put that
+//! panics unwinds into its caller and releases both, so it can wedge
+//! neither `checkpoint` nor `stop`.
 //!
 //! The service is deliberately synchronous (blocking `put`): the
 //! callers are load generators and tests that want per-submission ack
@@ -40,9 +45,8 @@
 
 use crate::backend::ShardBackend;
 use crate::durable::{DurableEngine, DurableError, WriteError};
-use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::VecDeque;
+use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Instant;
 use stm_telemetry::{AtomicHist, HistSnapshot};
@@ -56,13 +60,11 @@ pub struct ServiceConfig {
     /// `tenants * keys_per_tenant` must not exceed the engine's
     /// `n_keys`.
     pub keys_per_tenant: usize,
-    /// Bound on each shard's submission queue; a submission that finds
-    /// the routed queue full is rejected with
+    /// Bound on each shard's admitted, unresolved submissions (puts
+    /// blocked behind a checkpoint included); a submission that finds
+    /// the routed shard at the bound is rejected with
     /// [`ServiceError::Overloaded`].
     pub queue_depth: usize,
-    /// Executor threads per shard. More than one is what lets the
-    /// group committer batch across a single shard's submissions.
-    pub executors_per_shard: usize,
 }
 
 impl Default for ServiceConfig {
@@ -71,7 +73,6 @@ impl Default for ServiceConfig {
             tenants: 1,
             keys_per_tenant: 1024,
             queue_depth: 256,
-            executors_per_shard: 4,
         }
     }
 }
@@ -89,15 +90,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the per-shard queue bound.
+    /// Set the per-shard in-flight bound.
     pub fn with_queue_depth(mut self, depth: usize) -> ServiceConfig {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Set the executor thread count per shard.
-    pub fn with_executors_per_shard(mut self, n: usize) -> ServiceConfig {
-        self.executors_per_shard = n;
         self
     }
 }
@@ -120,8 +115,9 @@ pub enum ServiceError {
         /// The per-tenant key range.
         keys_per_tenant: usize,
     },
-    /// The routed shard's submission queue was full: bounded
-    /// backpressure chose rejection over unbounded queueing.
+    /// The routed shard already had `queue_depth` submissions in
+    /// flight: bounded backpressure chose rejection over unbounded
+    /// waiting.
     Overloaded {
         /// The overloaded shard.
         shard: usize,
@@ -146,7 +142,7 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "key {key} outside tenant range 0..{keys_per_tenant}")
             }
             ServiceError::Overloaded { shard } => {
-                write!(f, "shard {shard} queue full; submission rejected")
+                write!(f, "shard {shard} overloaded; submission rejected")
             }
             ServiceError::Write(e) => write!(f, "engine write failed: {e}"),
             ServiceError::Stopped => write!(f, "service is stopped"),
@@ -162,63 +158,51 @@ impl From<WriteError> for ServiceError {
     }
 }
 
-/// The per-submission completion slot the submitting thread blocks on.
-struct DoneSlot {
-    outcome: Mutex<Option<Result<(), WriteError>>>,
-    cond: Condvar,
-}
-
-impl DoneSlot {
-    fn new() -> Arc<DoneSlot> {
-        Arc::new(DoneSlot {
-            outcome: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn resolve(&self, outcome: Result<(), WriteError>) {
-        *self.outcome.lock() = Some(outcome);
-        self.cond.notify_all();
-    }
-
-    fn wait(&self) -> Result<(), WriteError> {
-        let mut slot = self.outcome.lock();
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            self.cond.wait(&mut slot);
-        }
-    }
-}
-
-/// One queued write.
-struct Request {
-    /// Global (already namespaced) key.
-    key: u64,
-    value: u64,
-    done: Arc<DoneSlot>,
-}
-
-/// One shard's submission machinery.
-struct ShardQueue {
-    queue: Mutex<VecDeque<Request>>,
-    /// Signals executors that the queue gained work (or the service is
-    /// stopping).
-    cond: Condvar,
-    /// The checkpoint gate: executors hold it shared per request,
-    /// checkpoints take it exclusively — draining this shard's
-    /// in-flight requests without touching the other shards.
+/// One shard's admission state.
+struct Shard {
+    /// Admitted, unresolved submissions, bounded by `queue_depth`.
+    in_flight: AtomicUsize,
+    /// The checkpoint gate: puts hold it shared for their transaction,
+    /// checkpoints and `stop` take it exclusively — draining this
+    /// shard's in-flight puts without touching the other shards.
     gate: RwLock<()>,
 }
 
-/// State shared between the service handle and its executor threads.
-struct Shared<B: ShardBackend> {
+/// One admitted submission's share of [`Shard::in_flight`], returned
+/// on drop — also when the put unwinds.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Shard {
+    /// Take one in-flight slot, or `None` if the shard is at `depth`.
+    fn admit(&self, depth: usize) -> Option<Admitted<'_>> {
+        self.in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < depth).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Admitted(&self.in_flight))
+    }
+}
+
+/// A multi-tenant write service over a [`DurableEngine`]. See the
+/// module docs for the shape.
+///
+/// Puts run on their callers' threads; the service owns no threads.
+/// Submissions racing a [`StmService::stop`] get
+/// [`ServiceError::Stopped`] or their normal outcome — accepted work
+/// is always finished.
+pub struct StmService<B: ShardBackend> {
     engine: Arc<DurableEngine<B>>,
     config: ServiceConfig,
-    shards: Vec<ShardQueue>,
+    shards: Vec<Shard>,
     stopping: AtomicBool,
-    /// Submissions accepted into a queue.
+    /// Submissions admitted past backpressure and `stop`.
     accepted: AtomicU64,
     /// Submissions rejected by backpressure (`Overloaded`).
     overloaded: AtomicU64,
@@ -228,55 +212,13 @@ struct Shared<B: ShardBackend> {
     ack_hist: AtomicHist,
 }
 
-impl<B: ShardBackend> Shared<B> {
-    /// Executor body: drain one shard's queue until the service stops
-    /// *and* the queue is empty (accepted submissions are always
-    /// resolved, even during shutdown).
-    fn run_executor(&self, shard: usize) {
-        let sq = &self.shards[shard];
-        loop {
-            let request = {
-                let mut queue = sq.queue.lock();
-                loop {
-                    if let Some(r) = queue.pop_front() {
-                        break r;
-                    }
-                    if self.stopping.load(Ordering::Acquire) {
-                        return;
-                    }
-                    sq.cond.wait(&mut queue);
-                }
-            };
-            // Shared gate: a concurrent checkpoint's exclusive
-            // acquisition waits for in-flight requests (bounded — each
-            // is one transaction) and blocks new ones until the
-            // snapshot is done.
-            let _gate = sq.gate.read();
-            let outcome = self.engine.put(request.key, request.value);
-            request.done.resolve(outcome);
-        }
-    }
-}
-
-/// A multi-tenant write service over a [`DurableEngine`]. See the
-/// module docs for the shape.
-///
-/// Dropping the service stops it: executors drain the accepted backlog
-/// and exit. Submissions racing a stop get [`ServiceError::Stopped`]
-/// (if they lose the race at the queue) or their normal outcome (if
-/// they won it — accepted work is always finished).
-pub struct StmService<B: ShardBackend + 'static> {
-    shared: Arc<Shared<B>>,
-    executors: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl<B: ShardBackend + 'static> StmService<B> {
-    /// Start a service over `engine`: per-shard queues, and
-    /// `executors_per_shard` executor threads per engine shard.
+impl<B: ShardBackend> StmService<B> {
+    /// Start a service over `engine`, with one admission bound and one
+    /// checkpoint gate per engine shard.
     ///
     /// # Panics
     /// If the tenant key space (`tenants * keys_per_tenant`) exceeds
-    /// the engine's key range, or `executors_per_shard == 0`.
+    /// the engine's key range.
     pub fn start(engine: Arc<DurableEngine<B>>, config: ServiceConfig) -> StmService<B> {
         let span = config.tenants * config.keys_per_tenant;
         assert!(
@@ -284,16 +226,13 @@ impl<B: ShardBackend + 'static> StmService<B> {
             "tenant key space {span} exceeds the engine's {} keys",
             engine.n_keys()
         );
-        assert!(config.executors_per_shard > 0, "need at least one executor");
-        let n_shards = engine.engine().shards();
-        let shards = (0..n_shards)
-            .map(|_| ShardQueue {
-                queue: Mutex::new(VecDeque::new()),
-                cond: Condvar::new(),
+        let shards = (0..engine.engine().shards())
+            .map(|_| Shard {
+                in_flight: AtomicUsize::new(0),
                 gate: RwLock::new(()),
             })
             .collect();
-        let shared = Arc::new(Shared {
+        StmService {
             engine,
             config,
             shards,
@@ -302,34 +241,23 @@ impl<B: ShardBackend + 'static> StmService<B> {
             overloaded: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             ack_hist: AtomicHist::new(),
-        });
-        let mut executors = Vec::with_capacity(n_shards * config.executors_per_shard);
-        for shard in 0..n_shards {
-            for _ in 0..config.executors_per_shard {
-                let shared = Arc::clone(&shared);
-                executors.push(std::thread::spawn(move || shared.run_executor(shard)));
-            }
-        }
-        StmService {
-            shared,
-            executors: Mutex::new(executors),
         }
     }
 
     /// The engine underneath (stats, stores, health).
     pub fn engine(&self) -> &Arc<DurableEngine<B>> {
-        &self.shared.engine
+        &self.engine
     }
 
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
-        &self.shared.config
+        &self.config
     }
 
     /// Map a tenant-local key to its global engine key, validating both
     /// coordinates.
     fn global_key(&self, tenant: usize, key: u64) -> Result<u64, ServiceError> {
-        let cfg = &self.shared.config;
+        let cfg = &self.config;
         if tenant >= cfg.tenants {
             return Err(ServiceError::NoSuchTenant {
                 tenant,
@@ -345,118 +273,100 @@ impl<B: ShardBackend + 'static> StmService<B> {
         Ok((tenant * cfg.keys_per_tenant) as u64 + key)
     }
 
-    /// Submit `tenant`'s write of `key := value` and block until it is
-    /// committed **and acked** by the durable layer (in group-commit
-    /// mode: its batch is flushed and synced). `Ok` means durable;
-    /// any `Err` means the write had no effect.
+    /// Submit `tenant`'s write of `key := value` and run it on this
+    /// thread until it is committed **and acked** by the durable layer
+    /// (in group-commit mode: its batch is flushed and synced). `Ok`
+    /// means durable; any `Err` means the write had no effect.
     pub fn put(&self, tenant: usize, key: u64, value: u64) -> Result<(), ServiceError> {
         let global = self.global_key(tenant, key)?;
-        let shard = self.shared.engine.engine().route(global);
-        let done = DoneSlot::new();
+        let shard = self.engine.engine().route(global);
         let submitted = Instant::now();
-        {
-            let sq = &self.shared.shards[shard];
-            let mut queue = sq.queue.lock();
-            if self.shared.stopping.load(Ordering::Acquire) {
-                return Err(ServiceError::Stopped);
-            }
-            if queue.len() >= self.shared.config.queue_depth {
-                self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::Overloaded { shard });
-            }
-            queue.push_back(Request {
-                key: global,
-                value,
-                done: Arc::clone(&done),
-            });
-            self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-            sq.cond.notify_one();
+        let state = &self.shards[shard];
+        let Some(_admitted) = state.admit(self.config.queue_depth) else {
+            self.overloaded.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::Overloaded { shard });
+        };
+        // Shared gate: a concurrent checkpoint's or stop's exclusive
+        // acquisition waits for in-flight puts (bounded — each is one
+        // transaction) and blocks new ones until it is done.
+        let _gate = state.gate.read();
+        if self.stopping.load(Ordering::Acquire) {
+            return Err(ServiceError::Stopped);
         }
-        let outcome = done.wait();
-        if outcome.is_ok() {
-            let ns = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.shared.ack_hist.record(ns);
-        }
-        outcome.map_err(ServiceError::from)
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.engine.put(global, value)?;
+        let ns = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.ack_hist.record(ns);
+        Ok(())
     }
 
-    /// Read `tenant`'s `key` directly (reads don't queue: the engine
-    /// serves them transactionally in every health state).
+    /// Read `tenant`'s `key` directly (reads take no admission slot:
+    /// the engine serves them transactionally in every health state).
     pub fn get(&self, tenant: usize, key: u64) -> Result<u64, ServiceError> {
         let global = self.global_key(tenant, key)?;
-        Ok(self.shared.engine.get(global))
+        Ok(self.engine.get(global))
     }
 
     /// Checkpoint every shard **under load**: shard by shard, take the
-    /// shard's gate exclusively (draining its in-flight requests,
-    /// blocking new ones), snapshot it through the engine's quiesce
-    /// fence, release. Other shards keep serving throughout; the
-    /// blocked shard's submissions see a bounded ack-latency bump, not
-    /// an error.
+    /// shard's gate exclusively (draining its in-flight puts, blocking
+    /// new ones), snapshot it through the engine's quiesce fence,
+    /// release. Other shards keep serving throughout; the blocked
+    /// shard's submissions see a bounded ack-latency bump, not an
+    /// error.
     pub fn checkpoint(&self) -> Result<(), DurableError> {
-        for i in 0..self.shared.shards.len() {
-            let _gate = self.shared.shards[i].gate.write();
-            self.shared.engine.checkpoint_one(i)?;
-            self.shared.checkpoints.fetch_add(1, Ordering::Relaxed);
+        for (i, state) in self.shards.iter().enumerate() {
+            let _gate = state.gate.write();
+            self.engine.checkpoint_one(i)?;
+            self.checkpoints.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Stop the service: reject new submissions, drain the accepted
-    /// backlog, join the executors. Idempotent.
+    /// Stop the service: reject new submissions, then take each
+    /// shard's gate exclusively once, which waits out every put that
+    /// was already accepted. When `stop` returns, no put is running
+    /// and every later one returns [`ServiceError::Stopped`].
+    /// Idempotent.
     pub fn stop(&self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        for sq in &self.shared.shards {
-            // Take the queue lock so the wake cannot slip between an
-            // executor's empty-check and its wait.
-            let _queue = sq.queue.lock();
-            sq.cond.notify_all();
-        }
-        let handles: Vec<_> = self.executors.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        self.stopping.store(true, Ordering::Release);
+        for state in &self.shards {
+            drop(state.gate.write());
         }
     }
 
-    /// Submissions accepted into a queue so far.
+    /// Submissions admitted past backpressure and `stop` so far.
     pub fn accepted(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
+        self.accepted.load(Ordering::Relaxed)
     }
 
     /// Submissions rejected by backpressure so far.
     pub fn overloaded(&self) -> u64 {
-        self.shared.overloaded.load(Ordering::Relaxed)
+        self.overloaded.load(Ordering::Relaxed)
     }
 
     /// Shard checkpoints completed so far.
     pub fn checkpoints(&self) -> u64 {
-        self.shared.checkpoints.load(Ordering::Relaxed)
+        self.checkpoints.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the submit→ack latency histogram (successful puts).
     pub fn ack_latency(&self) -> HistSnapshot {
-        self.shared.ack_hist.snapshot()
+        self.ack_hist.snapshot()
     }
 }
 
-impl<B: ShardBackend + 'static> Drop for StmService<B> {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl<B: ShardBackend + 'static> stm_telemetry::MetricsSource for StmService<B> {
+impl<B: ShardBackend> stm_telemetry::MetricsSource for StmService<B> {
     fn collect(&self, frame: &mut stm_telemetry::MetricsFrame) {
-        stm_telemetry::MetricsSource::collect(self.shared.engine.as_ref(), frame);
+        stm_telemetry::MetricsSource::collect(self.engine.as_ref(), frame);
         frame.counter(
             "stm_service_accepted_total",
-            "Submissions accepted into a shard queue.",
+            "Submissions admitted to a shard.",
             &[],
             self.accepted(),
         );
         frame.counter(
             "stm_service_overloaded_total",
-            "Submissions rejected by queue backpressure.",
+            "Submissions rejected by in-flight backpressure.",
             &[],
             self.overloaded(),
         );
@@ -478,14 +388,24 @@ impl<B: ShardBackend + 'static> stm_telemetry::MetricsSource for StmService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::{Condvar, Mutex};
     use std::sync::Arc;
-    use stm_wal::{GroupCommitConfig, MemStore, WalStore};
+    use std::time::Duration;
+    use stm_wal::{GroupCommitConfig, MemStore, StoreError, WalStore};
     use tinystm::{Stm, StmConfig};
 
     fn service(shards: usize, config: ServiceConfig) -> (StmService<Stm>, Arc<DurableEngine<Stm>>) {
         let stores: Vec<Arc<dyn WalStore>> = (0..shards)
             .map(|_| MemStore::healthy() as Arc<dyn WalStore>)
             .collect();
+        service_over(stores, config)
+    }
+
+    fn service_over(
+        stores: Vec<Arc<dyn WalStore>>,
+        config: ServiceConfig,
+    ) -> (StmService<Stm>, Arc<DurableEngine<Stm>>) {
+        let shards = stores.len();
         let engine = Arc::new(
             DurableEngine::<Stm>::new_grouped(
                 shards,
@@ -558,8 +478,7 @@ mod tests {
     fn checkpoint_under_traffic_keeps_every_ack() {
         let cfg = ServiceConfig::default()
             .with_tenants(1)
-            .with_keys_per_tenant(256)
-            .with_executors_per_shard(2);
+            .with_keys_per_tenant(256);
         let (svc, _engine) = service(2, cfg);
         let svc = Arc::new(svc);
         let stop = Arc::new(AtomicBool::new(false));
@@ -608,15 +527,83 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_rejects_with_typed_backpressure() {
-        // Zero-depth queue: every submission is a rejection. (A depth-N
-        // race-free overflow test would need executors frozen; the
-        // zero bound exercises the same branch deterministically.)
+    fn zero_depth_rejects_with_typed_backpressure() {
+        // Zero bound: every submission is a rejection.
         let cfg = ServiceConfig::default().with_queue_depth(0);
         let (svc, _engine) = service(1, cfg);
         let err = svc.put(0, 0, 1).unwrap_err();
         assert!(matches!(err, ServiceError::Overloaded { shard: 0 }));
         assert_eq!(svc.overloaded(), 1);
         assert_eq!(svc.accepted(), 0);
+    }
+
+    /// A `MemStore` whose appends park while the latch is closed — for
+    /// at most 10 s, so a put that should have been rejected fails the
+    /// test instead of hanging it.
+    struct LatchedStore {
+        inner: Arc<MemStore>,
+        closed: Mutex<bool>,
+        cond: Condvar,
+    }
+
+    impl LatchedStore {
+        fn set_closed(&self, closed: bool) {
+            *self.closed.lock() = closed;
+            self.cond.notify_all();
+        }
+    }
+
+    impl WalStore for LatchedStore {
+        fn append(&self, bytes: &[u8]) -> Result<(), StoreError> {
+            let mut closed = self.closed.lock();
+            let timeout = Duration::from_secs(10);
+            while *closed && !self.cond.wait_for(&mut closed, timeout).timed_out() {}
+            drop(closed);
+            self.inner.append(bytes)
+        }
+        fn log_bytes(&self) -> Vec<u8> {
+            self.inner.log_bytes()
+        }
+        fn snapshot(&self) -> Option<Vec<u8>> {
+            self.inner.snapshot()
+        }
+        fn checkpoint(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+            self.inner.checkpoint(snapshot)
+        }
+    }
+
+    #[test]
+    fn depth_bound_counts_unresolved_puts() {
+        let store = Arc::new(LatchedStore {
+            inner: MemStore::healthy(),
+            closed: Mutex::new(false),
+            cond: Condvar::new(),
+        });
+        let cfg = ServiceConfig::default().with_queue_depth(2);
+        let (svc, _engine) = service_over(vec![Arc::clone(&store) as Arc<dyn WalStore>], cfg);
+        store.set_closed(true);
+        std::thread::scope(|scope| {
+            // Keys 0 and 1 sit on different stripes: one put leads the
+            // parked flush, the other stages behind it.
+            let in_flight: Vec<_> = (0..2u64)
+                .map(|k| {
+                    let svc = &svc;
+                    scope.spawn(move || svc.put(0, k, 10 + k))
+                })
+                .collect();
+            while svc.accepted() < 2 {
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                svc.put(0, 2, 12),
+                Err(ServiceError::Overloaded { shard: 0 })
+            );
+            assert_eq!(svc.overloaded(), 1);
+            store.set_closed(false);
+            for put in in_flight {
+                assert_eq!(put.join().unwrap(), Ok(()));
+            }
+        });
+        assert_eq!(svc.get(0, 1).unwrap(), 11);
     }
 }

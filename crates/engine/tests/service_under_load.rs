@@ -16,13 +16,19 @@
 //!   checkpoints truncated, never corrupted;
 //! * the submit→ack histogram saw every successful put, and its max
 //!   stays under a bound generous enough for CI yet far below "the
-//!   checkpoint wedged the queue" territory.
+//!   checkpoint wedged the shard" territory.
+//!
+//! A second test races [`StmService::stop`] against the same kind of
+//! traffic: every put resolves `Ok` or `Stopped`, every writer
+//! returns, and exactly the `Ok` puts were accepted, are served, and
+//! survive a power-cycle.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use stm_check::{check_wal_commits, TraceSink, WalCommit};
-use stm_engine::{DurableEngine, ServiceConfig, ShardBackend, StmService};
+use stm_engine::{DurableEngine, ServiceConfig, ServiceError, ShardBackend, StmService};
 use stm_tl2::{Tl2, Tl2Config};
 use stm_wal::{GroupCommitConfig, MemStore, Recovery, WalStore};
 use tinystm::{AccessStrategy, Stm, StmConfig};
@@ -44,31 +50,40 @@ fn wal_commits(report: &Recovery) -> Vec<WalCommit> {
         .collect()
 }
 
-fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
+/// A grouped engine over fresh `MemStore`s, and those stores.
+fn grouped_engine<B: ShardBackend>(
+    config: &B::Config,
+) -> (Vec<Arc<dyn WalStore>>, Arc<DurableEngine<B>>) {
     let stores: Vec<Arc<dyn WalStore>> = (0..SHARDS)
         .map(|_| MemStore::healthy() as Arc<dyn WalStore>)
         .collect();
-    let engine = Arc::new(
-        DurableEngine::<B>::new_grouped(
-            SHARDS,
-            KEYS,
-            config,
-            stores.clone(),
-            GroupCommitConfig::default(),
-        )
-        .unwrap(),
-    );
+    let engine = DurableEngine::<B>::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        stores.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
+    (stores, Arc::new(engine))
+}
+
+fn start_service<B: ShardBackend>(engine: &Arc<DurableEngine<B>>) -> Arc<StmService<B>> {
+    Arc::new(StmService::start(
+        Arc::clone(engine),
+        ServiceConfig::default()
+            .with_tenants(TENANTS)
+            .with_keys_per_tenant(KEYS_PER_TENANT),
+    ))
+}
+
+fn checkpoint_under_load<B: ShardBackend + 'static>(config: &B::Config) {
+    let (stores, engine) = grouped_engine::<B>(config);
     let sinks: Vec<_> = (0..SHARDS).map(|_| TraceSink::new()).collect();
     for (i, sink) in sinks.iter().enumerate() {
         engine.engine().shard(i).shard_attach_trace(sink);
     }
-    let svc = Arc::new(StmService::start(
-        Arc::clone(&engine),
-        ServiceConfig::default()
-            .with_tenants(TENANTS)
-            .with_keys_per_tenant(KEYS_PER_TENANT)
-            .with_executors_per_shard(2),
-    ));
+    let svc = start_service(&engine);
 
     // One writer per tenant; each owns its whole tenant namespace and
     // writes strictly increasing values, so acked is exact per key.
@@ -184,4 +199,94 @@ fn checkpoint_under_load_wt() {
 #[test]
 fn checkpoint_under_load_tl2() {
     checkpoint_under_load::<Tl2>(&Tl2Config::default());
+}
+
+fn stop_under_load<B: ShardBackend + 'static>(config: &B::Config) {
+    let (stores, engine) = grouped_engine::<B>(config);
+    let svc = start_service(&engine);
+
+    // One writer per tenant, strictly increasing values, until the
+    // service refuses it.
+    let writers: Vec<_> = (0..TENANTS)
+        .map(|tenant| {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                let mut acked: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut oks = 0u64;
+                for v in 1u64.. {
+                    let key = v % KEYS_PER_TENANT as u64;
+                    match svc.put(tenant, key, v) {
+                        Ok(()) => {
+                            acked.insert(key, v);
+                            oks += 1;
+                        }
+                        Err(ServiceError::Stopped) => break,
+                        Err(e) => panic!("tenant {tenant} put {v}: {e}"),
+                    }
+                }
+                (tenant, acked, oks)
+            })
+        })
+        .collect();
+
+    while svc.accepted() < 200 {
+        std::thread::yield_now();
+    }
+    svc.stop();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !writers.iter().all(|w| w.is_finished()) {
+        assert!(Instant::now() < deadline, "a writer hung after stop");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let acked: Vec<(usize, BTreeMap<u64, u64>, u64)> =
+        writers.into_iter().map(|w| w.join().unwrap()).collect();
+
+    let oks: u64 = acked.iter().map(|(_, _, oks)| oks).sum();
+    assert_eq!(
+        svc.accepted(),
+        oks,
+        "accepted counts exactly the acked puts"
+    );
+    for (tenant, keys, _) in &acked {
+        for (&key, &value) in keys {
+            assert_eq!(
+                svc.get(*tenant, key).unwrap(),
+                value,
+                "tenant {tenant} key {key} lost its last acked write"
+            );
+        }
+    }
+    let expected = engine.read_all();
+    drop(svc);
+    drop(engine);
+
+    // Power-cycle: the stopped state is exactly what the logs replay.
+    let rebooted: Vec<Arc<dyn WalStore>> = stores
+        .iter()
+        .map(|s| MemStore::rebooted(s.as_ref()) as Arc<dyn WalStore>)
+        .collect();
+    let (recovered, _) = DurableEngine::<B>::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        rebooted,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(recovered.read_all(), expected);
+}
+
+#[test]
+fn stop_under_load_wb() {
+    stop_under_load::<Stm>(&StmConfig::default().with_strategy(AccessStrategy::WriteBack));
+}
+
+#[test]
+fn stop_under_load_wt() {
+    stop_under_load::<Stm>(&StmConfig::default().with_strategy(AccessStrategy::WriteThrough));
+}
+
+#[test]
+fn stop_under_load_tl2() {
+    stop_under_load::<Tl2>(&Tl2Config::default());
 }

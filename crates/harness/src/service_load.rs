@@ -80,7 +80,7 @@ pub struct ServiceReport {
     /// Submissions acked before the cut (all acked submissions, when
     /// the run was clean).
     pub acked: u64,
-    /// Submissions rejected by queue backpressure.
+    /// Submissions rejected by in-flight backpressure.
     pub overloaded: u64,
     /// Whether the run was cut.
     pub crashed: bool,
