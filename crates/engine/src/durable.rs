@@ -87,13 +87,13 @@ use crate::health::{HealthSlot, RetryPolicy, ShardHealth};
 use core::sync::atomic::Ordering;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use stm_api::mem::WordBlock;
 use stm_api::stats::{FaultSnapshot, FaultStats};
 use stm_api::wal::{PublishError, WalSink};
 use stm_api::{LifecycleError, TmTx, TxKind};
 use stm_wal::{
-    recover_store, snapshot_of, BatchError, GroupCommitConfig, GroupCommitter, LogWriter, Recovery,
+    recover_store, BatchError, GroupCommitConfig, GroupCommitter, LogWriter, Recovery, Snapshot,
     StoreError, WalError, WalStore,
 };
 
@@ -422,6 +422,12 @@ impl WalSink for GroupWalSink {
 /// and in-doubt list).
 struct DurableShard {
     table: WordBlock,
+    /// The keys routed to this shard, ascending: the snapshot's key
+    /// order. Computed on the shard's first checkpoint, not at build
+    /// (an engine that never checkpoints never pays the route pass);
+    /// the router depends only on the shard count, so it never goes
+    /// stale.
+    keys: OnceLock<Vec<u64>>,
     store: Arc<dyn WalStore>,
     epoch_base: u64,
     writer: Arc<LogWriter>,
@@ -612,6 +618,7 @@ impl<B: ShardBackend> DurableEngine<B> {
             };
             shards.push(DurableShard {
                 table,
+                keys: OnceLock::new(),
                 store,
                 epoch_base,
                 writer,
@@ -852,17 +859,21 @@ impl<B: ShardBackend> DurableEngine<B> {
     fn checkpoint_shard(&self, i: usize, reset_seq: bool) -> Result<(), StoreError> {
         let shard = &self.shards[i];
         let backend = self.engine.shard(i);
+        let keys = shard.keys.get_or_init(|| {
+            (0..self.n_keys as u64)
+                .filter(|&k| self.engine.route(k) == i)
+                .collect()
+        });
         backend.quiesce(|| {
             // Inside the fence: no transaction is active on this
-            // shard, every commit is published *and* logged.
-            let mut state: BTreeMap<u64, u64> = BTreeMap::new();
-            for k in 0..self.n_keys {
-                if self.engine.route(k as u64) == i {
-                    state.insert(k as u64, shard.table.read(k) as u64);
-                }
-            }
+            // shard, every commit is published *and* logged. One pass
+            // over the shard's words, encoded straight into the
+            // snapshot buffer.
             let epoch = shard.epoch_base + backend.wal_epoch();
-            let snap = snapshot_of(&state, epoch).encode();
+            let entries = keys
+                .iter()
+                .map(|&k| (k, shard.table.read(k as usize) as u64));
+            let snap = Snapshot::encode_entries(epoch, entries);
             let mut attempt = 0u32;
             loop {
                 match shard.store.checkpoint(&snap) {

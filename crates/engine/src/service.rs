@@ -30,8 +30,9 @@
 //!   write acquisition drains in-flight puts for *that shard only*,
 //!   the engine's quiesce fence then acquires against an idle shard
 //!   instantly, and traffic on other shards never stalls. The
-//!   ack-latency histogram ([`StmService::ack_latency`]) makes the
-//!   resulting stall bounded and visible instead of anecdotal.
+//!   gate-hold histogram ([`StmService::checkpoint_stall`]) measures
+//!   each shard's stall at its source, and the ack-latency histogram
+//!   ([`StmService::ack_latency`]) shows what the puts behind it paid.
 //!
 //! The admission count and the gate are RAII guards: a put that
 //! panics unwinds into its caller and releases both, so it can wedge
@@ -210,6 +211,8 @@ pub struct StmService<B: ShardBackend> {
     checkpoints: AtomicU64,
     /// Submit→ack latency of successful puts, nanoseconds.
     ack_hist: AtomicHist,
+    /// Gate-hold time of each completed shard checkpoint, nanoseconds.
+    stall_hist: AtomicHist,
 }
 
 impl<B: ShardBackend> StmService<B> {
@@ -241,6 +244,7 @@ impl<B: ShardBackend> StmService<B> {
             overloaded: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             ack_hist: AtomicHist::new(),
+            stall_hist: AtomicHist::new(),
         }
     }
 
@@ -312,11 +316,16 @@ impl<B: ShardBackend> StmService<B> {
     /// new ones), snapshot it through the engine's quiesce fence,
     /// release. Other shards keep serving throughout; the blocked
     /// shard's submissions see a bounded ack-latency bump, not an
-    /// error.
+    /// error. Each completed shard checkpoint records how long it held
+    /// the gate into [`StmService::checkpoint_stall`].
     pub fn checkpoint(&self) -> Result<(), DurableError> {
         for (i, state) in self.shards.iter().enumerate() {
-            let _gate = state.gate.write();
+            let gate = state.gate.write();
+            let held = Instant::now();
             self.engine.checkpoint_one(i)?;
+            let ns = held.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            drop(gate);
+            self.stall_hist.record(ns);
             self.checkpoints.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
@@ -353,6 +362,14 @@ impl<B: ShardBackend> StmService<B> {
     pub fn ack_latency(&self) -> HistSnapshot {
         self.ack_hist.snapshot()
     }
+
+    /// Snapshot of the checkpoint-stall histogram: how long each
+    /// completed shard checkpoint held its shard's gate (puts on that
+    /// shard wait this long), nanoseconds. Its count is
+    /// [`StmService::checkpoints`].
+    pub fn checkpoint_stall(&self) -> HistSnapshot {
+        self.stall_hist.snapshot()
+    }
 }
 
 impl<B: ShardBackend> stm_telemetry::MetricsSource for StmService<B> {
@@ -381,6 +398,12 @@ impl<B: ShardBackend> stm_telemetry::MetricsSource for StmService<B> {
             "Submit-to-ack latency of successful service puts.",
             &[],
             self.ack_latency(),
+        );
+        frame.summary(
+            "stm_service_checkpoint_stall_ns",
+            "Time each shard checkpoint held its shard's gate (puts blocked).",
+            &[],
+            self.checkpoint_stall(),
         );
     }
 }
@@ -514,6 +537,30 @@ mod tests {
         for (k, v) in acked {
             assert_eq!(svc.get(0, k).unwrap(), v, "key {k} lost its last ack");
         }
+    }
+
+    #[test]
+    fn checkpoint_stall_is_recorded_per_shard_and_exported() {
+        let cfg = ServiceConfig::default().with_keys_per_tenant(64);
+        let (svc, _engine) = service(2, cfg);
+        for k in 0..64u64 {
+            svc.put(0, k, k).unwrap();
+        }
+        for _ in 0..3 {
+            svc.checkpoint().unwrap();
+        }
+        let stall = svc.checkpoint_stall();
+        assert_eq!(svc.checkpoints(), 6, "2 shards x 3 rounds");
+        assert_eq!(stall.count, svc.checkpoints());
+        let mut frame = stm_telemetry::MetricsFrame::new();
+        stm_telemetry::MetricsSource::collect(&svc, &mut frame);
+        let text = stm_telemetry::render_prometheus(&frame);
+        assert!(
+            text.contains("stm_service_checkpoint_stall_ns_count 6"),
+            "{text}"
+        );
+        let problems = stm_telemetry::lint_exposition(&text);
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]

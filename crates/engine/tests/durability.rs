@@ -2,12 +2,19 @@
 //! backends (TinySTM write-back, TinySTM write-through, TL2): a killed
 //! workload recovers to a per-shard prefix of the committed state, a
 //! clean shutdown recovers exactly, checkpoints truncate without losing
-//! state, and corruption fails loudly instead of diverging silently.
+//! state, a checkpoint's bytes are exactly the snapshot of the shard's
+//! routed keys, and corruption fails loudly instead of diverging
+//! silently.
 
+use core::sync::atomic::{AtomicBool, Ordering};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use stm_engine::{DurableEngine, DurableError, ShardBackend};
+use stm_engine::{DurableEngine, DurableError, ShardBackend, ShardHealth, WriteError};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, MemStore, TailStatus, WalError, WalStore};
+use stm_wal::{
+    CrashSwitch, GroupCommitConfig, MemStore, Snapshot, StoreError, TailStatus, WalError, WalStore,
+};
 use tinystm::{AccessStrategy, Stm, StmConfig};
 
 const SHARDS: usize = 2;
@@ -177,6 +184,122 @@ fn chopped_tail_reports_and_recovers<B: ShardBackend>(config: &B::Config) {
     assert!(reports[0].tail.is_clean());
 }
 
+/// A healthy [`MemStore`] whose appends can be switched to fail
+/// permanently: the fault that degrades a shard so it can be rejoined.
+struct Breakable {
+    inner: Arc<MemStore>,
+    broken: AtomicBool,
+}
+
+impl WalStore for Breakable {
+    fn append(&self, bytes: &[u8]) -> Result<(), StoreError> {
+        if self.broken.load(Ordering::SeqCst) {
+            return Err(StoreError::Permanent("broken".into()));
+        }
+        self.inner.append(bytes)
+    }
+    fn sync(&self) -> Result<(), StoreError> {
+        self.inner.sync()
+    }
+    fn log_bytes(&self) -> Vec<u8> {
+        self.inner.log_bytes()
+    }
+    fn snapshot(&self) -> Option<Vec<u8>> {
+        self.inner.snapshot()
+    }
+    fn checkpoint(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+        self.inner.checkpoint(snapshot)
+    }
+}
+
+const EQ_KEYS: usize = 96;
+
+/// The two checkpoint equivalences, right after `checkpointed` shards
+/// checkpointed: each one's store holds exactly the encoding of its
+/// routed keys' values (from `read_all`) at its epoch, and a grouped
+/// recovery over power-cycled copies of every store equals `read_all`.
+fn assert_checkpoint_equivalent<B: ShardBackend>(
+    config: &B::Config,
+    engine: &DurableEngine<B>,
+    stores: &[Arc<Breakable>],
+    checkpointed: &[usize],
+) {
+    let state = engine.read_all();
+    for &i in checkpointed {
+        let entries: Vec<(u64, u64)> = state
+            .iter()
+            .filter(|&(&k, _)| engine.engine().route(k) == i)
+            .map(|(&k, &v)| (k, v))
+            .collect();
+        let expected = Snapshot {
+            epoch: engine.wal_epoch(i),
+            entries,
+        }
+        .encode();
+        assert_eq!(
+            stores[i].snapshot().as_deref(),
+            Some(&expected[..]),
+            "shard {i}'s checkpoint bytes"
+        );
+    }
+    let rebooted: Vec<Arc<dyn WalStore>> = stores
+        .iter()
+        .map(|s| MemStore::rebooted(s.as_ref()) as Arc<dyn WalStore>)
+        .collect();
+    let (recovered, _) = DurableEngine::<B>::recover_grouped(
+        stores.len(),
+        EQ_KEYS,
+        config,
+        rebooted,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(recovered.read_all(), state);
+}
+
+/// Random puts, then a checkpoint, a second round and checkpoint, and
+/// a degrade + rejoin of the last shard: after each, the checkpoint
+/// equivalences hold.
+fn checkpoint_bytes_equal_snapshot_of_memory<B: ShardBackend>(config: &B::Config, shards: usize) {
+    let stores: Vec<Arc<Breakable>> = (0..shards)
+        .map(|_| {
+            Arc::new(Breakable {
+                inner: MemStore::healthy(),
+                broken: AtomicBool::new(false),
+            })
+        })
+        .collect();
+    let dyns = stores
+        .iter()
+        .map(|s| Arc::clone(s) as Arc<dyn WalStore>)
+        .collect();
+    let engine: DurableEngine<B> =
+        DurableEngine::new_grouped(shards, EQ_KEYS, config, dyns, GroupCommitConfig::default())
+            .unwrap();
+    let mut rng = SmallRng::seed_from_u64(0xC4EC_0000 + shards as u64);
+    let all: Vec<usize> = (0..shards).collect();
+    for _round in 0..2 {
+        for _ in 0..150 {
+            let key = rng.gen_range(0..EQ_KEYS as u64);
+            engine.put(key, rng.gen_range(1..u64::MAX)).unwrap();
+        }
+        engine.checkpoint().unwrap();
+        assert_checkpoint_equivalent(config, &engine, &stores, &all);
+    }
+
+    let last = shards - 1;
+    let key = (0..EQ_KEYS as u64)
+        .find(|&k| engine.engine().route(k) == last)
+        .unwrap();
+    stores[last].broken.store(true, Ordering::SeqCst);
+    assert_eq!(engine.put(key, 7), Err(WriteError::Wal { shard: last }));
+    assert_eq!(engine.health(last), ShardHealth::Degraded);
+    stores[last].broken.store(false, Ordering::SeqCst);
+    engine.rejoin(last).unwrap();
+    assert_eq!(engine.health(last), ShardHealth::Healthy);
+    assert_checkpoint_equivalent(config, &engine, &stores, &[last]);
+}
+
 fn wb() -> StmConfig {
     StmConfig::default().with_strategy(AccessStrategy::WriteBack)
 }
@@ -207,6 +330,15 @@ fn checkpoint_all_backends() {
     checkpoint_then_recover::<Stm>(&wb());
     checkpoint_then_recover::<Stm>(&wt());
     checkpoint_then_recover::<Tl2>(&Tl2Config::default());
+}
+
+#[test]
+fn checkpoint_equivalence_all_backends_and_shard_counts() {
+    for shards in 1..=3 {
+        checkpoint_bytes_equal_snapshot_of_memory::<Stm>(&wb(), shards);
+        checkpoint_bytes_equal_snapshot_of_memory::<Stm>(&wt(), shards);
+        checkpoint_bytes_equal_snapshot_of_memory::<Tl2>(&Tl2Config::default(), shards);
+    }
 }
 
 #[test]

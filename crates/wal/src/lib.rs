@@ -51,9 +51,7 @@ pub mod writer;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultStore};
 pub use file::FileStore;
 pub use group::{BatchError, GroupCommitConfig, GroupCommitter, GroupError};
-pub use log::{
-    decode_log, recover_store, replay_onto, snapshot_of, Recovery, TailStatus, WalError,
-};
+pub use log::{decode_log, recover_store, replay_onto, Recovery, TailStatus, WalError};
 pub use record::WalRecord;
 pub use snapshot::Snapshot;
 pub use store::{CrashSwitch, MemStore, StoreError, WalStore};

@@ -27,7 +27,6 @@
 //!   yields the same state (M1.2 deterministic replay, M1.7 idempotence).
 
 use crate::record::{RecordDecodeError, WalRecord, FRAME_HEADER};
-use crate::snapshot::Snapshot;
 use crate::store::{read_snapshot, WalStore};
 use std::collections::btree_map::BTreeMap;
 use std::collections::HashMap;
@@ -320,14 +319,6 @@ pub fn recover_store(store: &dyn WalStore) -> Result<Recovery, WalError> {
     })
 }
 
-/// Build the checkpoint snapshot for `state` at `epoch`.
-pub fn snapshot_of(state: &BTreeMap<u64, u64>, epoch: u64) -> Snapshot {
-    Snapshot {
-        epoch,
-        entries: state.iter().map(|(&k, &v)| (k, v)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,10 +478,11 @@ mod tests {
 
     #[test]
     fn recover_store_composes_snapshot_and_log() {
+        use crate::snapshot::Snapshot;
         use crate::store::{MemStore, WalStore};
         let store = MemStore::healthy();
-        let snap = snapshot_of(&[(1u64, 5u64), (2, 6)].into_iter().collect(), 2);
-        store.checkpoint(&snap.encode()).unwrap();
+        let snap = Snapshot::encode_entries(2, [(1, 5), (2, 6)]);
+        store.checkpoint(&snap).unwrap();
         store.append(&rec(9, 2, 1, &[(2, 60)]).encode()).unwrap();
         store.append(&rec(10, 3, 1, &[(3, 70)]).encode()).unwrap();
         let recovery = recover_store(&*store).unwrap();
@@ -503,7 +495,7 @@ mod tests {
         );
         // A log record older than the snapshot epoch is a hard error.
         let bad = MemStore::healthy();
-        bad.checkpoint(&snap.encode()).unwrap();
+        bad.checkpoint(&snap).unwrap();
         bad.append(&rec(0, 1, 1, &[(1, 1)]).encode()).unwrap();
         assert!(matches!(
             recover_store(&*bad),

@@ -63,21 +63,14 @@ impl WalRecord {
 
     /// Append the framed record (`len` + `crc` + payload) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len = Self::payload_len(self.writes.len());
-        let start = out.len();
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]); // crc placeholder
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.commit_ts.to_le_bytes());
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&(self.writes.len() as u32).to_le_bytes());
-        for &(k, v) in &self.writes {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let crc = crc32(&out[start + FRAME_HEADER..]);
-        out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        encode_record(
+            out,
+            self.seq,
+            self.epoch,
+            self.commit_ts,
+            self.shard,
+            &self.writes,
+        );
     }
 
     /// Framed encoding as a fresh buffer (tests, snapshots).
@@ -124,6 +117,36 @@ impl WalRecord {
             writes,
         })
     }
+}
+
+/// The record encoder: append one framed record built from borrowed
+/// parts to `out`. [`WalRecord::encode_into`] and the writer's commit
+/// paths both go through it, so a commit is logged without first
+/// copying its write set into a [`WalRecord`].
+pub(crate) fn encode_record(
+    out: &mut Vec<u8>,
+    seq: u64,
+    epoch: u64,
+    commit_ts: u64,
+    shard: u32,
+    writes: &[(u64, u64)],
+) {
+    let len = WalRecord::payload_len(writes.len());
+    out.reserve(FRAME_HEADER + len);
+    let start = out.len();
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]); // crc placeholder
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&commit_ts.to_le_bytes());
+    out.extend_from_slice(&shard.to_le_bytes());
+    out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
+    for &(k, v) in writes {
+        out.extend_from_slice(&k.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    let crc = crc32(&out[start + FRAME_HEADER..]);
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[cfg(test)]

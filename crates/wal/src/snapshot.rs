@@ -33,15 +33,36 @@ pub struct Snapshot {
 impl Snapshot {
     /// Serialize with magic + checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 + 4 + 16 * self.entries.len());
+        Snapshot::encode_entries(self.epoch, self.entries.iter().copied())
+    }
+
+    /// The snapshot encoder: serialize `epoch` and `entries` — `(key,
+    /// value)` pairs in strictly ascending key order — into one buffer
+    /// of exactly `20 + 16·n` bytes, without materializing a
+    /// [`Snapshot`]. The checkpoint path feeds it straight from a
+    /// shard's table.
+    ///
+    /// # Panics
+    /// If `entries` yields a different number of pairs than its
+    /// `len()` promised (the count is written before the entries).
+    pub fn encode_entries<I>(epoch: u64, entries: I) -> Vec<u8>
+    where
+        I: IntoIterator<Item = (u64, u64)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
+        let n = entries.len();
+        let len = 20 + 16 * n;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
         out.extend_from_slice(&[0u8; 4]); // crc placeholder
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for &(k, v) in &self.entries {
+        out.extend_from_slice(&epoch.to_le_bytes());
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+        for (k, v) in entries {
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&v.to_le_bytes());
         }
+        assert_eq!(out.len(), len, "snapshot entry count disagrees with len()");
         let crc = crc32(&out[8..]);
         out[4..8].copy_from_slice(&crc.to_le_bytes());
         out

@@ -4,7 +4,7 @@
 //! so `seq` order always equals byte order in the store — the property
 //! [`crate::log::decode_log`]'s contiguity check later verifies.
 
-use crate::record::WalRecord;
+use crate::record::encode_record;
 use crate::store::{StoreError, WalStore};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -58,16 +58,16 @@ impl LogWriter {
         commit_ts: u64,
         writes: &[(u64, u64)],
     ) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        let record = WalRecord {
-            seq: inner.next_seq,
+        let inner = &mut *self.inner.lock();
+        inner.buf.clear();
+        encode_record(
+            &mut inner.buf,
+            inner.next_seq,
             epoch,
             commit_ts,
-            shard: self.shard,
-            writes: writes.to_vec(),
-        };
-        inner.buf.clear();
-        record.encode_into(&mut inner.buf);
+            self.shard,
+            writes,
+        );
         self.store.append(&inner.buf)?;
         inner.next_seq += 1;
         Ok(())
@@ -95,14 +95,7 @@ impl LogWriter {
     ) -> u64 {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
-        let record = WalRecord {
-            seq,
-            epoch,
-            commit_ts,
-            shard: self.shard,
-            writes: writes.to_vec(),
-        };
-        record.encode_into(out);
+        encode_record(out, seq, epoch, commit_ts, self.shard, writes);
         inner.next_seq += 1;
         seq
     }

@@ -17,8 +17,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use stm_wal::{
-    decode_log, recover_store, replay_onto, snapshot_of, CrashSwitch, LogWriter, MemStore,
-    TailStatus, WalError, WalStore,
+    decode_log, recover_store, replay_onto, CrashSwitch, LogWriter, MemStore, Snapshot, TailStatus,
+    WalError, WalStore,
 };
 
 /// Deterministic workload: n commits over a small key space; returns
@@ -152,7 +152,7 @@ fn interior_damage_with_intact_followers_is_always_loud() {
 #[test]
 fn snapshot_bit_flips_are_always_hard_errors() {
     let state: BTreeMap<u64, u64> = (0..8u64).map(|k| (k, k * 10)).collect();
-    let snap = snapshot_of(&state, 3).encode();
+    let snap = Snapshot::encode_entries(3, state.iter().map(|(&k, &v)| (k, v)));
     for byte in 0..snap.len() {
         let store = MemStore::healthy();
         store.checkpoint(&snap).unwrap();
@@ -184,7 +184,8 @@ fn checkpoint_then_crash_recovers_snapshot_plus_log_tail() {
     }
     // Checkpoint at epoch 1 (as the engine does inside a quiesce fence),
     // then keep committing in the new epoch.
-    store.checkpoint(&snapshot_of(&state, 1).encode()).unwrap();
+    let snap = Snapshot::encode_entries(1, state.iter().map(|(&k, &v)| (k, v)));
+    store.checkpoint(&snap).unwrap();
     for ts in 1..=5u64 {
         writer.append_commit(1, ts, &[(10 + ts, ts)]).unwrap();
         state.insert(10 + ts, ts);
