@@ -100,11 +100,12 @@ impl BasicStats {
 /// backend at all.
 #[derive(Debug, Default)]
 pub struct FaultStats {
-    /// Transient store errors absorbed by the sink's bounded retry loop
-    /// (each retried append attempt counts once).
+    /// Transient store errors retried in place under the bounded retry
+    /// policy (each retried append or checkpoint attempt counts once).
     pub wal_retries: AtomicU64,
-    /// Publish failures that exhausted retry or were not retryable
-    /// (torn/permanent) — each one degrades a shard.
+    /// WAL flushes that failed — retries exhausted, torn/permanent
+    /// append, failed sync — counted once per batch; each one degrades
+    /// a shard.
     pub wal_faults: AtomicU64,
     /// Write attempts rejected with a typed error because the target
     /// shard was Degraded or Quarantined.

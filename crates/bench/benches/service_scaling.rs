@@ -3,14 +3,14 @@
 //! count × the group-commit batch bound.
 //!
 //! Each cell boots a [`StmService`] over a file-backed
-//! [`DurableEngine`] in group-commit mode (real appends and fsyncs in
+//! [`DurableEngine`] (group commit; real appends and fsyncs in
 //! a scratch directory — the cost the batching exists to amortize)
 //! and drives it closed-loop from `CLIENTS` client threads, one
 //! tenant each. Two panels per shard count:
 //!
 //! * `batch1/s{1,2,4}`  — `max_records = 1`: the group path degenerates
-//!   to one flush per commit (the PR-7 per-commit cost, measured
-//!   through the same code path);
+//!   to one flush per commit (the per-commit cost, measured through
+//!   the one publication path);
 //! * `batch64/s{1,2,4}` — `max_records = 64` with a 200µs leader
 //!   accumulation window: concurrent committers share flushes.
 //!

@@ -9,23 +9,20 @@
 //! * a **table** — a [`WordBlock`] of `n_keys` words; key `k` lives at
 //!   word index `k` of the table of the shard `k` routes to (words for
 //!   keys routed elsewhere are simply never touched);
-//! * a **WAL sink** ([`ShardWalSink`]) attached to the shard's backend:
-//!   every committed update transaction publishes its `(addr, value)`
-//!   write set *inside* its commit critical section, the sink maps
-//!   addresses back to keys and appends one checksummed record to the
-//!   shard's [`WalStore`] through a [`LogWriter`], then syncs;
+//! * a **WAL sink** ([`GroupWalSink`]) attached to the shard's
+//!   backend: every committed update transaction publishes its
+//!   `(addr, value)` write set *inside* its commit critical section;
+//!   the sink maps addresses back to keys and *stages* one checksummed
+//!   record into the shard's [`GroupCommitter`] batch (the stage
+//!   reserves the record's sequence number and log position), then
+//!   blocks for the batch flush — one append + one sync acknowledges
+//!   every staged commit of the batch, so concurrent committers on
+//!   disjoint stripes of one shard share a single fsync. The committer
+//!   is the only way a record reaches the shard's [`WalStore`];
+//!   `max_records = 1` gives one append + sync per commit;
 //! * a **health slot** ([`HealthSlot`]) — Healthy shards publish;
 //!   Degraded/Quarantined shards reject writes with a typed error and
 //!   keep serving reads (see `crate::health`).
-//!
-//! In **group-commit mode** ([`DurableEngine::new_grouped`]) the sink
-//! is a [`GroupWalSink`] instead: it *stages* the record into the
-//! shard's [`GroupCommitter`] batch inside the critical section (the
-//! stage reserves the record's sequence number and log position, so
-//! the commit-order guarantees below are unchanged) and then blocks
-//! for an amortized batch flush — one append + one sync acknowledges
-//! every staged commit of the batch. Concurrent committers touching
-//! disjoint stripes of one shard thereby share a single fsync.
 //!
 //! Because the publish happens before the stripe locks are released,
 //! conflicting commits appear in the shard's log in commit-timestamp
@@ -39,14 +36,15 @@
 //!
 //! ## Fault handling
 //!
-//! The sink classifies [`StoreError`]s per the taxonomy's retry
-//! contract: *transient* errors (nothing persisted) are retried in
-//! place under the bounded [`RetryPolicy`]; *torn* and *permanent*
-//! errors — and exhausted retries, and failed fsyncs — degrade the
-//! shard and fail the commit. A sync failure after a successful append
-//! leaves an **in-doubt** record: present and decodable in the log but
-//! never acknowledged (the commit rolled back). The engine tracks these
-//! per shard ([`DurableEngine::in_doubt`]); the rejoin checkpoint
+//! The committer retries *transient* errors (nothing persisted) in
+//! place under [`stm_wal::RetryPolicy`], each retry counted. Every
+//! failed flush — exhausted retries, *torn* and *permanent* appends,
+//! failed fsyncs, a panicking store — fails the batch's commits,
+//! degrades the shard once per batch and closes the committer until
+//! the rejoin reopens it. A sync failure after a successful append
+//! leaves **in-doubt** records: present and decodable in the log but
+//! never acknowledged (the commits rolled back). The engine tracks
+//! these per shard ([`DurableEngine::in_doubt`]); the rejoin checkpoint
 //! clears them.
 //!
 //! ## Rejoin: memory is the source of truth
@@ -57,7 +55,7 @@
 //! state. Rejoin re-checkpoints that state under the shard's quiesce
 //! fence — atomically replacing whatever the store holds (torn bytes,
 //! in-doubt orphans) with a snapshot of the truth — and reopens the
-//! shard. If even the checkpoint fails, the shard is Quarantined:
+//! shard and its committer, numbering the fresh log from 0. If even the checkpoint fails, the shard is Quarantined:
 //! writes stay rejected, reads keep serving.
 //!
 //! ## Checkpoint = quiesce fence
@@ -71,7 +69,7 @@
 //!
 //! ## Recovery
 //!
-//! [`DurableEngine::recover`] replays each shard's store from empty
+//! [`DurableEngine::recover_grouped`] replays each shard's store from empty
 //! state (`stm_wal::recover_store`: snapshot, then intact log records,
 //! with torn/corrupt tails reported and interior damage rejected
 //! loudly), seeds fresh tables with the recovered state, and
@@ -83,7 +81,7 @@
 
 use crate::backend::ShardBackend;
 use crate::engine::ShardedEngine;
-use crate::health::{HealthSlot, RetryPolicy, ShardHealth};
+use crate::health::{HealthSlot, ShardHealth};
 use core::sync::atomic::Ordering;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -93,8 +91,8 @@ use stm_api::stats::{FaultSnapshot, FaultStats};
 use stm_api::wal::{PublishError, WalSink};
 use stm_api::{LifecycleError, TmTx, TxKind};
 use stm_wal::{
-    recover_store, BatchError, GroupCommitConfig, GroupCommitter, LogWriter, Recovery, Snapshot,
-    StoreError, WalError, WalStore,
+    recover_store, GroupCommitConfig, GroupCommitter, Recovery, RetryPolicy, Snapshot, StoreError,
+    WalError, WalStore,
 };
 
 /// Word size of the tables (the engine is 64-bit word based).
@@ -236,108 +234,14 @@ pub struct InDoubtCommit {
     pub writes: Vec<(u64, u64)>,
 }
 
-/// The per-shard WAL sink: maps the backend's `(addr, value)` write set
-/// back to keys and appends one record per commit, retrying transients
-/// and degrading the shard on anything worse.
-struct ShardWalSink {
-    /// Shard index (error messages, jitter salt).
-    shard: usize,
-    /// Base address of the shard's table.
-    base: usize,
-    /// Table length in words.
-    words: usize,
-    /// Added to the backend's durability epoch (monotonicity across
-    /// recover incarnations).
-    epoch_base: u64,
-    writer: Arc<LogWriter>,
-    /// The store, for the post-append sync.
-    store: Arc<dyn WalStore>,
-    health: Arc<HealthSlot>,
-    stats: Arc<FaultStats>,
-    retry: RetryPolicy,
-    in_doubt: Arc<Mutex<Vec<InDoubtCommit>>>,
-}
-
-impl WalSink for ShardWalSink {
-    fn publish(
-        &self,
-        epoch: u64,
-        commit_ts: u64,
-        writes: &[(usize, usize)],
-    ) -> Result<(), PublishError> {
-        // A commit racing the degradation of its shard: refuse before
-        // touching the store (counted as a rejection, not a new fault).
-        if !self.health.is_healthy() {
-            self.stats.degraded_rejects.fetch_add(1, Ordering::Relaxed);
-            return Err(PublishError::new(format!(
-                "shard {} is {}",
-                self.shard,
-                self.health.get()
-            )));
-        }
-        let keys = writes_to_keys(self.base, self.words, writes);
-        let epoch = self.epoch_base + epoch;
-        // Append, retrying transients in place (safe: nothing was
-        // persisted and the writer consumes the seq only on success).
-        // Torn and permanent errors are terminal — re-appending over a
-        // torn frame would turn a recoverable tail into interior
-        // corruption. The loop runs with the commit's stripe locks
-        // held; the policy's budget is µs-scale and hard-bounded.
-        let salt = commit_ts ^ (self.shard as u64).rotate_left(32);
-        let mut attempt = 0u32;
-        loop {
-            match self.writer.append_commit(epoch, commit_ts, &keys) {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.retry.backoff(attempt, salt));
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
-                    self.health.set(ShardHealth::Degraded);
-                    return Err(PublishError::new(format!(
-                        "shard {} append: {e}",
-                        self.shard
-                    )));
-                }
-            }
-        }
-        // The record is in the log; confirm durability. A failed fsync
-        // is never retried — the kernel may have dropped the dirty
-        // pages, so a later "successful" fsync would prove nothing.
-        // The record becomes in-doubt and the shard degrades; the
-        // rejoin checkpoint rewrites the store from memory.
-        if let Err(e) = self.store.sync() {
-            self.in_doubt.lock().push(InDoubtCommit {
-                epoch,
-                commit_ts,
-                writes: keys,
-            });
-            self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
-            self.health.set(ShardHealth::Degraded);
-            return Err(PublishError::new(format!(
-                "shard {} fsync: {e}",
-                self.shard
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// The group-commit WAL sink: stages the record into the shard's
+/// The per-shard WAL sink: stages the record into the shard's
 /// [`GroupCommitter`] batch inside the commit critical section (fixing
 /// its log position while the stripe locks pin the commit order) and
 /// blocks until the batch is flushed and acknowledged.
 ///
-/// Fault mapping follows "one transient fault degrades the *batch*,
-/// not the shard": the committer already retried transients in place,
-/// so a surfacing transient append failure fails this batch's commits
-/// (they roll back cleanly and can be resubmitted) while the shard
-/// stays Healthy. Terminal errors — torn appends, permanent store
-/// faults, failed fsyncs — degrade the shard exactly like the
-/// per-commit sink, with the batch's *primary* member doing the
-/// once-per-batch bookkeeping so counters count batches, not members.
+/// Every failed flush degrades the shard, with the batch's *primary*
+/// member doing the once-per-batch bookkeeping so counters count
+/// batches, not members.
 struct GroupWalSink {
     /// Shard index (error messages).
     shard: usize,
@@ -385,29 +289,13 @@ impl WalSink for GroupWalSink {
                         writes: keys,
                     });
                 }
-                match &g.error {
-                    // This member was cancelled behind another batch's
-                    // failure: nothing of it reached the store and the
-                    // failing batch already did the health/counter
-                    // bookkeeping. Just roll the commit back.
-                    BatchError::Cancelled => {}
-                    // The committer exhausted its in-place retries on a
-                    // transient append: the batch fails (commits roll
-                    // back, resubmittable) but nothing was persisted
-                    // and the store may well serve the next batch —
-                    // degrade the batch, not the shard.
-                    BatchError::Append(e) if e.is_transient() => {
-                        if g.primary {
-                            self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // Terminal: torn/permanent append or failed fsync.
-                    BatchError::Append(_) | BatchError::Sync(_) => {
-                        if g.primary {
-                            self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
-                            self.health.set(ShardHealth::Degraded);
-                        }
-                    }
+                // Cancelled members (staged behind the failed batch, or
+                // refused by the closed committer) are never primary:
+                // nothing of them reached the store, and the failed
+                // batch's primary does the bookkeeping.
+                if g.primary {
+                    self.stats.wal_faults.fetch_add(1, Ordering::Relaxed);
+                    self.health.set(ShardHealth::Degraded);
                 }
                 Err(PublishError::new(format!(
                     "shard {} group: {g}",
@@ -418,8 +306,8 @@ impl WalSink for GroupWalSink {
     }
 }
 
-/// One shard's durable state (the sink shares the writer, health slot,
-/// and in-doubt list).
+/// One shard's durable state (the sink shares the committer, health
+/// slot, and in-doubt list).
 struct DurableShard {
     table: WordBlock,
     /// The keys routed to this shard, ascending: the snapshot's key
@@ -428,50 +316,34 @@ struct DurableShard {
     /// the router depends only on the shard count, so it never goes
     /// stale.
     keys: OnceLock<Vec<u64>>,
-    store: Arc<dyn WalStore>,
     epoch_base: u64,
-    writer: Arc<LogWriter>,
+    /// The shard log's only appender (and its store's owner).
+    committer: Arc<GroupCommitter>,
     health: Arc<HealthSlot>,
     in_doubt: Arc<Mutex<Vec<InDoubtCommit>>>,
-    /// Present in group-commit mode: the shard's batching flush/ack
-    /// path (the sink stages through it instead of appending directly).
-    committer: Option<Arc<GroupCommitter>>,
 }
 
 /// A crash-recoverable key/value engine over [`ShardedEngine`] with
 /// per-shard fault degradation.
 ///
 /// Keys are dense `0..n_keys`; values are words. Not `Clone` — the
-/// tables and writers have one owner (share it behind an `Arc`).
+/// tables and committers have one owner (share it behind an `Arc`).
 pub struct DurableEngine<B: ShardBackend> {
     engine: ShardedEngine<B>,
     shards: Vec<DurableShard>,
     n_keys: usize,
     stats: Arc<FaultStats>,
-    retry: RetryPolicy,
-    /// Records-per-flush distribution across all shards' committers
-    /// (group-commit mode only; empty otherwise).
+    /// Records-per-flush distribution across all shards' committers.
     batch_hist: Arc<stm_telemetry::AtomicHist>,
 }
 
 impl<B: ShardBackend> DurableEngine<B> {
     /// Build a fresh engine: `shards` backend instances, one table and
-    /// one WAL writer per shard, sinks attached. `stores[i]` receives
-    /// shard `i`'s log; supply one store per shard.
-    pub fn new(
-        shards: usize,
-        n_keys: usize,
-        config: &B::Config,
-        stores: Vec<Arc<dyn WalStore>>,
-    ) -> Result<DurableEngine<B>, DurableError> {
-        Self::build(shards, n_keys, config, stores, None, None)
-    }
-
-    /// Build a fresh engine in **group-commit** mode: each shard's sink
-    /// stages records into a per-shard [`GroupCommitter`] batch and
-    /// blocks for the amortized flush/ack instead of appending and
-    /// syncing per commit. Concurrent committers on disjoint stripes of
-    /// one shard share a single append + sync.
+    /// one [`GroupCommitter`] per shard, sinks attached. `stores[i]`
+    /// receives shard `i`'s log; supply one store per shard. Each
+    /// shard's sink stages records into its committer's batch and
+    /// blocks for the amortized flush/ack: concurrent committers on
+    /// disjoint stripes of one shard share a single append + sync.
     pub fn new_grouped(
         shards: usize,
         n_keys: usize,
@@ -479,42 +351,19 @@ impl<B: ShardBackend> DurableEngine<B> {
         stores: Vec<Arc<dyn WalStore>>,
         group: GroupCommitConfig,
     ) -> Result<DurableEngine<B>, DurableError> {
-        Self::build(shards, n_keys, config, stores, None, Some(group))
+        Self::build(shards, n_keys, config, stores, None, group)
     }
 
     /// Recover an engine from the stores of a crashed (or cleanly
     /// stopped) incarnation: replay every shard from empty state, seed
-    /// fresh tables, re-checkpoint so the new logs start clean. The
+    /// fresh tables, re-checkpoint so the new logs start clean. The new
+    /// incarnation commits as [`DurableEngine::new_grouped`] does. The
     /// per-shard [`Recovery`] reports (replayed records, tail status)
     /// are returned for inspection.
     ///
     /// Fails loudly — never with a silently diverged state — if any
     /// shard's store has interior corruption, a damaged snapshot, or a
     /// replay-invariant violation.
-    pub fn recover(
-        shards: usize,
-        n_keys: usize,
-        config: &B::Config,
-        stores: Vec<Arc<dyn WalStore>>,
-    ) -> Result<(DurableEngine<B>, Vec<Recovery>), DurableError> {
-        let mut recoveries = Vec::with_capacity(shards);
-        for (i, store) in stores.iter().enumerate() {
-            let r = recover_store(store.as_ref())
-                .map_err(|error| DurableError::Wal { shard: i, error })?;
-            recoveries.push(r);
-        }
-        let engine = Self::build(shards, n_keys, config, stores, Some(&recoveries), None)?;
-        // Re-checkpoint immediately: the recovered state becomes the
-        // new snapshot and the (possibly torn-tailed) old log is
-        // truncated, so the fresh incarnation appends to a clean log.
-        engine.checkpoint()?;
-        Ok((engine, recoveries))
-    }
-
-    /// [`DurableEngine::recover`], but the new incarnation runs in
-    /// group-commit mode (see [`DurableEngine::new_grouped`]). Recovery
-    /// itself is mode-independent: a grouped incarnation's log is an
-    /// ordinary conflict-closed record stream.
     pub fn recover_grouped(
         shards: usize,
         n_keys: usize,
@@ -528,14 +377,10 @@ impl<B: ShardBackend> DurableEngine<B> {
                 .map_err(|error| DurableError::Wal { shard: i, error })?;
             recoveries.push(r);
         }
-        let engine = Self::build(
-            shards,
-            n_keys,
-            config,
-            stores,
-            Some(&recoveries),
-            Some(group),
-        )?;
+        let engine = Self::build(shards, n_keys, config, stores, Some(&recoveries), group)?;
+        // Re-checkpoint immediately: the recovered state becomes the
+        // new snapshot and the (possibly torn-tailed) old log is
+        // truncated, so the fresh incarnation appends to a clean log.
         engine.checkpoint()?;
         Ok((engine, recoveries))
     }
@@ -546,7 +391,7 @@ impl<B: ShardBackend> DurableEngine<B> {
         config: &B::Config,
         stores: Vec<Arc<dyn WalStore>>,
         recovered: Option<&[Recovery]>,
-        group: Option<GroupCommitConfig>,
+        group: GroupCommitConfig,
     ) -> Result<DurableEngine<B>, DurableError> {
         if stores.len() != n_shards {
             return Err(DurableError::StoreCount {
@@ -556,7 +401,6 @@ impl<B: ShardBackend> DurableEngine<B> {
         }
         let engine: ShardedEngine<B> = ShardedEngine::new(n_shards, config)?;
         let stats = Arc::new(FaultStats::new());
-        let retry = RetryPolicy::default();
         let batch_hist = Arc::new(stm_telemetry::AtomicHist::new());
         let mut shards = Vec::with_capacity(n_shards);
         for (i, store) in stores.into_iter().enumerate() {
@@ -578,53 +422,29 @@ impl<B: ShardBackend> DurableEngine<B> {
                 }
                 None => (0, 0),
             };
-            let writer = Arc::new(LogWriter::new(i as u32, Arc::clone(&store), first_seq));
+            let committer = GroupCommitter::new(i as u32, store, first_seq, group);
+            let hist = Arc::clone(&batch_hist);
+            committer.set_observer(move |records, _bytes| hist.record(records as u64));
             let health = Arc::new(HealthSlot::new());
             let in_doubt = Arc::new(Mutex::new(Vec::new()));
-            let committer = match &group {
-                Some(gc) => {
-                    let committer = GroupCommitter::new(Arc::clone(&writer), *gc);
-                    let hist = Arc::clone(&batch_hist);
-                    committer.set_observer(move |records, _bytes| hist.record(records as u64));
-                    let sink: Arc<dyn WalSink> = Arc::new(GroupWalSink {
-                        shard: i,
-                        base: table.as_ptr() as usize,
-                        words: table.words(),
-                        epoch_base,
-                        committer: Arc::clone(&committer),
-                        health: Arc::clone(&health),
-                        stats: Arc::clone(&stats),
-                        in_doubt: Arc::clone(&in_doubt),
-                    });
-                    engine.shard(i).attach_wal(&sink);
-                    Some(committer)
-                }
-                None => {
-                    let sink: Arc<dyn WalSink> = Arc::new(ShardWalSink {
-                        shard: i,
-                        base: table.as_ptr() as usize,
-                        words: table.words(),
-                        epoch_base,
-                        writer: Arc::clone(&writer),
-                        store: Arc::clone(&store),
-                        health: Arc::clone(&health),
-                        stats: Arc::clone(&stats),
-                        retry,
-                        in_doubt: Arc::clone(&in_doubt),
-                    });
-                    engine.shard(i).attach_wal(&sink);
-                    None
-                }
-            };
+            let sink: Arc<dyn WalSink> = Arc::new(GroupWalSink {
+                shard: i,
+                base: table.as_ptr() as usize,
+                words: table.words(),
+                epoch_base,
+                committer: Arc::clone(&committer),
+                health: Arc::clone(&health),
+                stats: Arc::clone(&stats),
+                in_doubt: Arc::clone(&in_doubt),
+            });
+            engine.shard(i).attach_wal(&sink);
             shards.push(DurableShard {
                 table,
                 keys: OnceLock::new(),
-                store,
                 epoch_base,
-                writer,
+                committer,
                 health,
                 in_doubt,
-                committer,
             });
         }
         Ok(DurableEngine {
@@ -632,7 +452,6 @@ impl<B: ShardBackend> DurableEngine<B> {
             shards,
             n_keys,
             stats,
-            retry,
             batch_hist,
         })
     }
@@ -649,7 +468,7 @@ impl<B: ShardBackend> DurableEngine<B> {
 
     /// Shard `i`'s store (corruption simulation, inspection).
     pub fn store(&self, i: usize) -> &Arc<dyn WalStore> {
-        &self.shards[i].store
+        self.shards[i].committer.store()
     }
 
     /// Shard `i`'s effective durability epoch (epoch base of this
@@ -669,9 +488,16 @@ impl<B: ShardBackend> DurableEngine<B> {
     }
 
     /// Fault counters (retries, faults, rejections, rejoins) summed
-    /// over all shards.
+    /// over all shards. `wal_retries` counts every in-place retry:
+    /// the committers' append retries and the checkpoint retries.
     pub fn fault_stats(&self) -> FaultSnapshot {
-        self.stats.snapshot()
+        let mut f = self.stats.snapshot();
+        f.wal_retries += self
+            .shards
+            .iter()
+            .map(|s| s.committer.retries())
+            .sum::<u64>();
+        f
     }
 
     /// Shard `i`'s in-doubt commits: appended to the log but never
@@ -681,28 +507,20 @@ impl<B: ShardBackend> DurableEngine<B> {
         self.shards[i].in_doubt.lock().clone()
     }
 
-    /// Whether the engine was built in group-commit mode.
-    pub fn is_grouped(&self) -> bool {
-        self.shards.first().is_some_and(|s| s.committer.is_some())
-    }
-
     /// Batches flushed and records flushed, summed over every shard's
-    /// committer (group-commit mode; `(0, 0)` otherwise). The ratio is
-    /// the mean batch size — the amortization the mode exists for.
+    /// committer. The ratio is the mean batch size — the amortization
+    /// group commit exists for.
     pub fn group_flush_stats(&self) -> (u64, u64) {
-        let mut flushes = 0;
-        let mut records = 0;
-        for shard in &self.shards {
-            if let Some(c) = &shard.committer {
-                flushes += c.flushes();
-                records += c.records_flushed();
-            }
-        }
-        (flushes, records)
+        self.shards.iter().fold((0, 0), |(flushes, records), s| {
+            (
+                flushes + s.committer.flushes(),
+                records + s.committer.records_flushed(),
+            )
+        })
     }
 
-    /// Mean records per flushed batch across all shards (group-commit
-    /// mode; `None` before the first flush or in per-commit mode).
+    /// Mean records per flushed batch across all shards (`None` before
+    /// the first flush).
     pub fn group_mean_batch(&self) -> Option<f64> {
         let (flushes, records) = self.group_flush_stats();
         (flushes > 0).then(|| records as f64 / flushes as f64)
@@ -833,7 +651,7 @@ impl<B: ShardBackend> DurableEngine<B> {
         // replaces the store's contents with the acked state either
         // way, which also heals interior damage a recovery would
         // reject.
-        let _diagnostic = recover_store(shard.store.as_ref());
+        let _diagnostic = recover_store(shard.committer.store().as_ref());
         match self.checkpoint_shard(i, true) {
             Ok(()) => {
                 shard.in_doubt.lock().clear();
@@ -853,10 +671,11 @@ impl<B: ShardBackend> DurableEngine<B> {
     }
 
     /// Snapshot shard `i` from memory inside its quiesce fence,
-    /// retrying transient store errors under the engine's policy.
-    /// `reset_seq` restarts the writer's record numbering for the fresh
-    /// log (rejoin; safe inside the fence with publishes excluded).
-    fn checkpoint_shard(&self, i: usize, reset_seq: bool) -> Result<(), StoreError> {
+    /// retrying transient store errors under [`RetryPolicy`].
+    /// `reopen` reopens the committer with record numbering restarted
+    /// for the fresh log (rejoin; safe inside the fence with publishes
+    /// excluded).
+    fn checkpoint_shard(&self, i: usize, reopen: bool) -> Result<(), StoreError> {
         let shard = &self.shards[i];
         let backend = self.engine.shard(i);
         let keys = shard.keys.get_or_init(|| {
@@ -874,20 +693,15 @@ impl<B: ShardBackend> DurableEngine<B> {
                 .iter()
                 .map(|&k| (k, shard.table.read(k as usize) as u64));
             let snap = Snapshot::encode_entries(epoch, entries);
-            let mut attempt = 0u32;
-            loop {
-                match shard.store.checkpoint(&snap) {
-                    Ok(()) => break,
-                    Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                        self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.retry.backoff(attempt, epoch ^ i as u64));
-                        attempt += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if reset_seq {
-                shard.writer.set_next_seq(0);
+            RetryPolicy::retry(
+                epoch ^ i as u64,
+                || shard.committer.store().checkpoint(&snap),
+                || {
+                    self.stats.wal_retries.fetch_add(1, Ordering::Relaxed);
+                },
+            )?;
+            if reopen {
+                shard.committer.reopen(0);
             }
             Ok(())
         })
@@ -908,7 +722,7 @@ impl<B: ShardBackend> DurableEngine<B> {
 impl<B: ShardBackend> stm_telemetry::MetricsSource for DurableEngine<B> {
     fn collect(&self, frame: &mut stm_telemetry::MetricsFrame) {
         stm_telemetry::MetricsSource::collect(&self.engine, frame);
-        let f = self.stats.snapshot();
+        let f = self.fault_stats();
         frame.counter(
             "stm_wal_retries_total",
             "Transient WAL store errors retried in place.",
@@ -933,14 +747,12 @@ impl<B: ShardBackend> stm_telemetry::MetricsSource for DurableEngine<B> {
             &[],
             f.rejoins,
         );
-        if self.is_grouped() {
-            frame.summary(
-                "stm_wal_batch_size",
-                "Records per flushed group-commit batch, all shards.",
-                &[],
-                self.batch_hist.snapshot(),
-            );
-        }
+        frame.summary(
+            "stm_wal_batch_size",
+            "Records per flushed group-commit batch, all shards.",
+            &[],
+            self.batch_hist.snapshot(),
+        );
         for (i, shard) in self.shards.iter().enumerate() {
             let label = i.to_string();
             let labels = [("shard", label.as_str())];

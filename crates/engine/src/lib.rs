@@ -25,8 +25,8 @@
 //!   path, [`ShardedEngine::run_cross`] under a [`CrossShardPolicy`],
 //!   per-shard reconfigure with epoch tracking;
 //! * [`DurableEngine`] (feature `durable`) — the crash-recoverable KV
-//!   facade: per-shard WAL sinks (per-commit or group-commit),
-//!   checkpoint inside the quiesce fence, replay-based recovery;
+//!   facade: per-shard WAL sinks publishing through one group committer
+//!   each, checkpoint inside the quiesce fence, replay-based recovery;
 //! * [`StmService`] (feature `durable`) — the multi-tenant service
 //!   layer: puts run on the caller's thread under a per-shard
 //!   in-flight bound, concurrent callers share the group-commit
@@ -66,7 +66,7 @@ pub use backend::ShardBackend;
 pub use durable::{DurableEngine, DurableError, InDoubtCommit, WriteError};
 pub use engine::{CrossCtx, CrossShardPolicy, EngineError, ShardedEngine};
 #[cfg(feature = "durable")]
-pub use health::{HealthSlot, RetryPolicy, ShardHealth};
+pub use health::{HealthSlot, ShardHealth};
 pub use router::Router;
 #[cfg(feature = "durable")]
 pub use service::{ServiceConfig, ServiceError, StmService};

@@ -14,7 +14,7 @@
 //!   shards, the WAL batches, and the checkpoints.
 //! * **Submission**: [`StmService::put`] runs [`DurableEngine::put`]
 //!   on the *calling* thread and returns once the write is committed
-//!   and the WAL — batched, in group mode — has *acked* it: as in
+//!   and the WAL — batched by group commit — has *acked* it: as in
 //!   TinySTM, the transaction runs on the thread that wants its
 //!   result. Concurrent callers on one shard land in the same
 //!   [`stm_wal::GroupCommitter`] batch, so one fsync acknowledges many
@@ -279,7 +279,7 @@ impl<B: ShardBackend> StmService<B> {
 
     /// Submit `tenant`'s write of `key := value` and run it on this
     /// thread until it is committed **and acked** by the durable layer
-    /// (in group-commit mode: its batch is flushed and synced). `Ok`
+    /// (its group-commit batch is flushed and synced). `Ok`
     /// means durable; any `Err` means the write had no effect.
     pub fn put(&self, tenant: usize, key: u64, value: u64) -> Result<(), ServiceError> {
         let global = self.global_key(tenant, key)?;
@@ -461,7 +461,7 @@ mod tests {
         assert_eq!(svc.accepted(), 128);
         assert_eq!(svc.overloaded(), 0);
         assert_eq!(svc.ack_latency().count, 128);
-        // Every acked write is in the shard logs (group-commit mode).
+        // Every acked write is in the shard logs.
         let (flushes, records) = engine.group_flush_stats();
         assert_eq!(records, 128);
         assert!((1..=128).contains(&flushes));

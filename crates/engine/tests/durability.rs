@@ -51,12 +51,26 @@ fn drive<B: ShardBackend>(engine: &DurableEngine<B>) -> Vec<Vec<(u64, u64)>> {
 fn clean_shutdown_recovers_exactly<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (_mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     drive(&engine);
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (recovered, reports) = DurableEngine::<B>::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert_eq!(recovered.read_all(), expected);
     for r in &reports {
         assert!(
@@ -73,7 +87,14 @@ fn clean_shutdown_recovers_exactly<B: ShardBackend>(config: &B::Config) {
 fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget: u64) {
     let switch = CrashSwitch::after_bytes(budget);
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     let issued = drive(&engine);
     drop(engine);
     assert!(
@@ -83,7 +104,14 @@ fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget
     let torn_bytes: usize = mems.iter().map(|m| m.log_len()).sum();
     assert!(torn_bytes > 0, "the cut landed before any log bytes");
 
-    let (recovered, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (recovered, reports) = DurableEngine::<B>::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     let mut expected = std::collections::BTreeMap::new();
     for k in 0..KEYS as u64 {
         expected.insert(k, 0u64);
@@ -113,7 +141,14 @@ fn torn_tail_recovers_shard_prefixes<B: ShardBackend>(config: &B::Config, budget
 fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     drive(&engine);
     engine.checkpoint().unwrap();
     assert!(
@@ -126,7 +161,14 @@ fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (recovered, reports) = DurableEngine::<B>::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert_eq!(recovered.read_all(), expected);
     let replayed: usize = reports.iter().map(|r| r.records.len()).sum();
     assert_eq!(replayed, 8, "log should hold only post-checkpoint commits");
@@ -138,7 +180,14 @@ fn checkpoint_then_recover<B: ShardBackend>(config: &B::Config) {
 fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     drive(&engine);
     drop(engine);
 
@@ -146,7 +195,13 @@ fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
     // header is 8 bytes; byte 12 sits in the sequence field).
     assert!(mems[0].log_len() > 120, "need several records to corrupt");
     mems[0].flip_log_bit(12, 3);
-    let err = match DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns) {
+    let err = match DurableEngine::<B>::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns,
+        GroupCommitConfig::default(),
+    ) {
         Err(e) => e,
         Ok(_) => panic!("interior corruption must fail recovery"),
     };
@@ -169,13 +224,27 @@ fn interior_corruption_is_loud<B: ShardBackend>(config: &B::Config) {
 fn chopped_tail_reports_and_recovers<B: ShardBackend>(config: &B::Config) {
     let switch = CrashSwitch::unlimited();
     let (mems, dyns) = stores(&switch);
-    let engine: DurableEngine<B> = DurableEngine::new(SHARDS, KEYS, config, dyns.clone()).unwrap();
+    let engine: DurableEngine<B> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     drive(&engine);
     drop(engine);
 
     let full = mems[1].log_len();
     mems[1].truncate_log(full - 5); // mid-frame chop
-    let (_, reports) = DurableEngine::<B>::recover(SHARDS, KEYS, config, dyns).unwrap();
+    let (_, reports) = DurableEngine::<B>::recover_grouped(
+        SHARDS,
+        KEYS,
+        config,
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert!(
         matches!(reports[1].tail, TailStatus::Torn { dropped, .. } if dropped > 0),
         "chop must be reported: {:?}",
@@ -360,14 +429,26 @@ fn recovered_engine_keeps_working() {
     let config = wb();
     let switch = CrashSwitch::unlimited();
     let (_mems, dyns) = stores(&switch);
-    let engine: DurableEngine<Stm> =
-        DurableEngine::new(SHARDS, KEYS, &config, dyns.clone()).unwrap();
+    let engine: DurableEngine<Stm> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        &config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     drive(&engine);
     drop(engine);
 
     // First recovery; keep writing through the recovered engine.
-    let (recovered, _) =
-        DurableEngine::<Stm>::recover(SHARDS, KEYS, &config, dyns.clone()).unwrap();
+    let (recovered, _) = DurableEngine::<Stm>::recover_grouped(
+        SHARDS,
+        KEYS,
+        &config,
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     for k in 0..KEYS as u64 {
         recovered.put(k, 70_000 + k).unwrap();
     }
@@ -375,7 +456,14 @@ fn recovered_engine_keeps_working() {
     drop(recovered);
 
     // Second recovery sees the post-recovery writes too.
-    let (again, _) = DurableEngine::<Stm>::recover(SHARDS, KEYS, &config, dyns).unwrap();
+    let (again, _) = DurableEngine::<Stm>::recover_grouped(
+        SHARDS,
+        KEYS,
+        &config,
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert_eq!(again.read_all(), expected);
 }
 
@@ -390,22 +478,47 @@ fn recovery_is_deterministic_across_backends() {
         let (_mems, dyns) = stores(&switch);
         match backend {
             0 => {
-                let e: DurableEngine<Stm> =
-                    DurableEngine::new(SHARDS, KEYS, &wb(), dyns.clone()).unwrap();
+                let e: DurableEngine<Stm> = DurableEngine::new_grouped(
+                    SHARDS,
+                    KEYS,
+                    &wb(),
+                    dyns.clone(),
+                    GroupCommitConfig::default(),
+                )
+                .unwrap();
                 drive(&e);
             }
             1 => {
-                let e: DurableEngine<Stm> =
-                    DurableEngine::new(SHARDS, KEYS, &wt(), dyns.clone()).unwrap();
+                let e: DurableEngine<Stm> = DurableEngine::new_grouped(
+                    SHARDS,
+                    KEYS,
+                    &wt(),
+                    dyns.clone(),
+                    GroupCommitConfig::default(),
+                )
+                .unwrap();
                 drive(&e);
             }
             _ => {
-                let e: DurableEngine<Tl2> =
-                    DurableEngine::new(SHARDS, KEYS, &Tl2Config::default(), dyns.clone()).unwrap();
+                let e: DurableEngine<Tl2> = DurableEngine::new_grouped(
+                    SHARDS,
+                    KEYS,
+                    &Tl2Config::default(),
+                    dyns.clone(),
+                    GroupCommitConfig::default(),
+                )
+                .unwrap();
                 drive(&e);
             }
         }
-        let (r, _) = DurableEngine::<Stm>::recover(SHARDS, KEYS, &wb(), dyns).unwrap();
+        let (r, _) = DurableEngine::<Stm>::recover_grouped(
+            SHARDS,
+            KEYS,
+            &wb(),
+            dyns,
+            GroupCommitConfig::default(),
+        )
+        .unwrap();
         states.push(r.read_all());
     }
     assert_eq!(states[0], states[1]);

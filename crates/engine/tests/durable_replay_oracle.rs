@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use stm_check::{check_history, check_wal_commits, CheckOpts, History, TraceSink, WalCommit};
 use stm_engine::{DurableEngine, ShardBackend};
-use stm_wal::{CrashSwitch, MemStore, Recovery, WalStore};
+use stm_wal::{CrashSwitch, GroupCommitConfig, MemStore, Recovery, WalStore};
 use tinystm::{Stm, StmConfig};
 
 const SHARDS: usize = 2;
@@ -82,14 +82,26 @@ fn wal_commits(report: &Recovery) -> Vec<WalCommit> {
 fn clean_wal_equals_recorded_history() {
     let switch = CrashSwitch::unlimited();
     let dyns = stores(&switch);
-    let engine: DurableEngine<Stm> =
-        DurableEngine::new(SHARDS, KEYS, &StmConfig::default(), dyns.clone()).unwrap();
+    let engine: DurableEngine<Stm> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        &StmConfig::default(),
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     let histories = run_recorded(&engine);
     let expected = engine.read_all();
     drop(engine);
 
-    let (recovered, reports) =
-        DurableEngine::<Stm>::recover(SHARDS, KEYS, &StmConfig::default(), dyns).unwrap();
+    let (recovered, reports) = DurableEngine::<Stm>::recover_grouped(
+        SHARDS,
+        KEYS,
+        &StmConfig::default(),
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert_eq!(recovered.read_all(), expected);
     for (shard, (history, report)) in histories.iter().zip(&reports).enumerate() {
         let check = check_history(history, &CheckOpts::default());
@@ -110,14 +122,26 @@ fn clean_wal_equals_recorded_history() {
 fn crashed_wal_is_phantom_free() {
     let switch = CrashSwitch::after_bytes(9_000);
     let dyns = stores(&switch);
-    let engine: DurableEngine<Stm> =
-        DurableEngine::new(SHARDS, KEYS, &StmConfig::default(), dyns.clone()).unwrap();
+    let engine: DurableEngine<Stm> = DurableEngine::new_grouped(
+        SHARDS,
+        KEYS,
+        &StmConfig::default(),
+        dyns.clone(),
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     let histories = run_recorded(&engine);
     drop(engine);
     assert!(switch.is_cut(), "budget was never exhausted — raise OPS");
 
-    let (_, reports) =
-        DurableEngine::<Stm>::recover(SHARDS, KEYS, &StmConfig::default(), dyns).unwrap();
+    let (_, reports) = DurableEngine::<Stm>::recover_grouped(
+        SHARDS,
+        KEYS,
+        &StmConfig::default(),
+        dyns,
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     let mut survived = 0usize;
     for (shard, (history, report)) in histories.iter().zip(&reports).enumerate() {
         survived += report.records.len();

@@ -1,13 +1,17 @@
 //! Fault-tolerance tests for the durable engine, on all three backends:
-//! transient store errors are absorbed by the sink's retry loop,
-//! permanent errors degrade the shard with a typed rejection (reads
-//! keep serving), fsync failures leave a tracked in-doubt record, and
-//! rejoin heals a Degraded shard from memory.
+//! transient store errors are absorbed by the group committer's retry
+//! loop, permanent errors degrade the shard with a typed rejection
+//! (reads keep serving), fsync failures leave a tracked in-doubt
+//! record, a torn batch under concurrent writers leaves a recoverable
+//! log, and rejoin heals a Degraded shard from memory.
 
 use std::sync::Arc;
 use stm_engine::{DurableEngine, DurableError, ShardBackend, ShardHealth, WriteError};
 use stm_tl2::{Tl2, Tl2Config};
-use stm_wal::{CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, MemStore, WalStore};
+use stm_wal::{
+    CrashSwitch, FaultEvent, FaultKind, FaultPlan, FaultStore, GroupCommitConfig, MemStore,
+    WalStore,
+};
 use tinystm::{AccessStrategy, Stm, StmConfig};
 
 const KEYS: usize = 8;
@@ -16,7 +20,14 @@ const KEYS: usize = 8;
 fn faulty_engine<B: ShardBackend>(config: &B::Config, events: Vec<FaultEvent>) -> DurableEngine<B> {
     let mem = MemStore::new(CrashSwitch::unlimited());
     let store = FaultStore::new(mem, FaultPlan { events });
-    DurableEngine::new(1, KEYS, config, vec![store as Arc<dyn WalStore>]).unwrap()
+    DurableEngine::new_grouped(
+        1,
+        KEYS,
+        config,
+        vec![store as Arc<dyn WalStore>],
+        GroupCommitConfig::default(),
+    )
+    .unwrap()
 }
 
 /// A transient burst shorter than the retry budget: every put succeeds,
@@ -41,7 +52,14 @@ fn transient_burst_is_absorbed<B: ShardBackend>(config: &B::Config) {
     let expected = engine.read_all();
     let store = Arc::clone(engine.store(0));
     drop(engine);
-    let (recovered, _) = DurableEngine::<B>::recover(1, KEYS, config, vec![store]).unwrap();
+    let (recovered, _) = DurableEngine::<B>::recover_grouped(
+        1,
+        KEYS,
+        config,
+        vec![store],
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert_eq!(recovered.read_all(), expected);
 }
 
@@ -124,7 +142,14 @@ fn sync_failure_leaves_in_doubt_and_rejoin_heals<B: ShardBackend>(config: &B::Co
     let expected = engine.read_all();
     let store = Arc::clone(engine.store(0));
     drop(engine);
-    let (recovered, _) = DurableEngine::<B>::recover(1, KEYS, config, vec![store]).unwrap();
+    let (recovered, _) = DurableEngine::<B>::recover_grouped(
+        1,
+        KEYS,
+        config,
+        vec![store],
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     let state = recovered.read_all();
     assert_eq!(state, expected);
     assert_eq!(state[&1], 0, "in-doubt record must not resurface");
@@ -156,6 +181,78 @@ fn exhausted_transients_degrade_then_rejoin<B: ShardBackend>(config: &B::Config)
     assert_eq!(engine.get(1), 8);
 }
 
+/// Four writers on one shard, one torn batch append. Each writer owns
+/// two keys and keeps putting until its ops are done; the tear fails
+/// its batch (and closes the committer), the shard degrades once, and
+/// every later put fails typed. Without a rejoin, the log — acked
+/// prefix plus the torn frame — must still recover, to exactly the
+/// acked state plus whichever in-doubt records of the torn batch landed
+/// whole.
+fn torn_batch_under_concurrent_writers<B: ShardBackend>(config: &B::Config) {
+    const WRITERS: u64 = 4;
+    const OPS: u64 = 200;
+    let engine = faulty_engine::<B>(
+        config,
+        vec![FaultEvent {
+            at_append: 5,
+            kind: FaultKind::TornAppend,
+        }],
+    );
+    std::thread::scope(|scope| {
+        for t in 0..WRITERS {
+            let engine = &engine;
+            scope.spawn(move || {
+                let mut acked = [0u64; 2];
+                for i in 0..OPS {
+                    let slot = (i % 2) as usize;
+                    let key = 2 * t + slot as u64;
+                    let value = (t << 32) | (i + 1);
+                    match engine.put(key, value) {
+                        Ok(()) => acked[slot] = value,
+                        Err(WriteError::Wal { shard: 0 })
+                        | Err(WriteError::Rejected { shard: 0, .. }) => {}
+                        Err(e) => panic!("untyped failure: {e:?}"),
+                    }
+                    // Only this writer touches `key`: memory holds its
+                    // last acked value, never a failed put's.
+                    assert_eq!(
+                        engine.get(key),
+                        acked[slot],
+                        "failed put left a memory effect"
+                    );
+                }
+            });
+        }
+    });
+    let stats = engine.fault_stats();
+    assert_eq!(stats.wal_faults, 1, "one torn batch, one fault: {stats:?}");
+    assert_eq!(engine.health_transitions(0), 1);
+    assert_eq!(engine.health(0), ShardHealth::Degraded);
+
+    // No rejoin: recover straight from the damaged log.
+    let mut expected = engine.read_all();
+    let in_doubt = engine.in_doubt(0);
+    assert!(
+        in_doubt.len() < WRITERS as usize,
+        "a tear keeps some frame out"
+    );
+    for commit in &in_doubt {
+        expected.extend(commit.writes.iter().copied());
+    }
+    let boot = MemStore::rebooted(&**engine.store(0)) as Arc<dyn WalStore>;
+    drop(engine);
+    let (recovered, reports) = DurableEngine::<B>::recover_grouped(
+        1,
+        KEYS,
+        config,
+        vec![boot],
+        GroupCommitConfig::default(),
+    )
+    .expect("a torn batch leaves a recoverable log");
+    assert!(!reports[0].tail.is_clean(), "the torn frame is the tail");
+    assert_eq!(recovered.read_all(), expected);
+}
+
 fn wb() -> StmConfig {
     StmConfig::default().with_strategy(AccessStrategy::WriteBack)
 }
@@ -183,6 +280,13 @@ fn sync_failure_in_doubt_then_rejoin_all_backends() {
     sync_failure_leaves_in_doubt_and_rejoin_heals::<Stm>(&wb());
     sync_failure_leaves_in_doubt_and_rejoin_heals::<Stm>(&wt());
     sync_failure_leaves_in_doubt_and_rejoin_heals::<Tl2>(&Tl2Config::default());
+}
+
+#[test]
+fn torn_batch_under_concurrent_writers_all_backends() {
+    torn_batch_under_concurrent_writers::<Stm>(&wb());
+    torn_batch_under_concurrent_writers::<Stm>(&wt());
+    torn_batch_under_concurrent_writers::<Tl2>(&Tl2Config::default());
 }
 
 #[test]

@@ -255,7 +255,13 @@ fn concurrent_committers_share_flushes() {
     let expected = engine.read_all();
     let store = Arc::clone(engine.store(0));
     drop(engine);
-    let (recovered, _) =
-        DurableEngine::<Stm>::recover(1, KEYS, &StmConfig::default(), vec![store]).unwrap();
+    let (recovered, _) = DurableEngine::<Stm>::recover_grouped(
+        1,
+        KEYS,
+        &StmConfig::default(),
+        vec![store],
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
     assert_eq!(recovered.read_all(), expected);
 }

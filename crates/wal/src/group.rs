@@ -1,20 +1,18 @@
-//! Group commit: one log flush serves many committers.
+//! Group commit: the one path by which a commit reaches a shard log.
 //!
-//! The single-record path ([`crate::writer::LogWriter::append_commit`]
-//! plus a per-commit `sync`) pays one store round-trip per commit —
-//! correct, but the fsync dominates once committers are concurrent.
-//! [`GroupCommitter`] splits publication into two halves:
+//! A [`GroupCommitter`] owns one shard log's sequence counter and
+//! splits publication into two halves:
 //!
 //! * **stage** — inside the commit critical section, a committer
 //!   reserves the next sequence number and encodes its record into the
-//!   *pending batch* buffer ([`LogWriter::stage_commit`]). Staging
-//!   order equals sequence order equals byte order, so every batch —
-//!   and every prefix the store ends up persisting — keeps the
-//!   conflict-closed-prefix property the recovery invariants (M1.4)
-//!   rely on.
+//!   *pending batch* buffer. Staging order equals sequence order equals
+//!   byte order, so every batch — and every prefix the store ends up
+//!   persisting — keeps the conflict-closed-prefix property the
+//!   recovery invariants (M1.4) rely on.
 //! * **flush/ack** — the first stager with no flush in flight becomes
 //!   the *leader*: it takes the pending batch, appends it with **one**
-//!   store append, issues **one** sync, and resolves every member's
+//!   store append (transients retried in place under
+//!   [`RetryPolicy`]), issues **one** sync, and resolves every member's
 //!   ticket. Committers that stage while a flush is in flight
 //!   accumulate into the next batch (piggyback batching); the leader
 //!   keeps flushing until the pending batch is empty, so no staged
@@ -24,69 +22,70 @@
 //! acked — the caller still holds its stripe locks, so "zero memory
 //! effect before ack" is preserved. The amortization comes from
 //! committers on *disjoint* stripes staging concurrently, not from
-//! releasing locks early.
+//! releasing locks early. `max_records = 1` makes every commit its own
+//! batch: one append and one sync per commit.
 //!
 //! ## Failure fan-out
 //!
 //! A failed flush fails every member of the batch with a typed
 //! [`BatchError`], plus — because their reserved sequence numbers come
 //! after the failed batch's — every record staged into the *next*
-//! pending batch ([`BatchError::Cancelled`]). The writer's sequence
-//! counter is rolled back over the failed records so the next staged
-//! record continues the contiguous run (no [`SeqGap`]). Exactly one
+//! pending batch ([`BatchError::Cancelled`]). The sequence counter is
+//! rolled back over records that cannot be in the log. Exactly one
 //! member of each failed batch observes `primary == true` in its
 //! [`GroupError`], so the caller's health/fault accounting runs once
-//! per batch, not once per member: one transient fault degrades the
-//! batch, never double-counts, and — since nothing persisted — need
-//! not degrade the shard at all.
+//! per batch, not once per member.
 //!
-//! After a *non-transient* append failure the log may end in a damaged
-//! frame; as with the single-record path, the caller must stop
-//! appending until a checkpoint truncates the log (the engine's health
-//! machine enforces this). A failed *sync* leaves every record of the
-//! batch in doubt — present and decodable, never acknowledged — which
-//! the per-member [`GroupError::in_doubt`] flag reports; for a torn
-//! append the flag is set only for members whose frame landed entirely
-//! inside the persisted prefix.
+//! A failed *sync* leaves every record of the batch in doubt — present
+//! and decodable, never acknowledged — which the per-member
+//! [`GroupError::in_doubt`] flag reports; for a torn append the flag is
+//! set only for members whose frame landed entirely inside the
+//! persisted prefix. A store that *panics* inside the leader's append
+//! or sync fails the batch as [`BatchError::Panicked`], every member in
+//! doubt. The panic is not resumed: the leader is itself a committer
+//! holding its stripe locks.
 //!
-//! [`SeqGap`]: crate::log::WalError::SeqGap
+//! ## Closed after a failure
+//!
+//! A failed flush **closes** the committer before its state lock is
+//! released: every later `commit` returns [`BatchError::Cancelled`]
+//! without touching the store, until [`GroupCommitter::reopen`].
+//! Otherwise a committer arriving between the failure and the caller's
+//! reaction to it (the engine degrading the shard) could append — and
+//! be acked — behind a torn frame, which recovery rejects as interior
+//! corruption. The engine reopens inside the rejoin checkpoint's
+//! quiesce fence, once the checkpoint has truncated the log.
 
-use crate::store::{StoreError, WalStore};
-use crate::writer::LogWriter;
+use crate::record::encode_record;
+use crate::store::{RetryPolicy, StoreError, WalStore};
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Size/time bounds for one batch, plus the leader's retry budget.
+/// Bytes per batch: once exceeded, stagers wait for the next batch,
+/// like the record bound.
+const MAX_BATCH_BYTES: usize = 1 << 16;
+
+/// Size/time bounds for one batch.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitConfig {
     /// Records per batch; stagers beyond it wait for the next batch
     /// (the committer's built-in backpressure).
     pub max_records: usize,
-    /// Bytes per batch (same backpressure once exceeded).
-    pub max_bytes: usize,
     /// How long a leader waits for the batch to fill before flushing.
     /// Zero (the default) flushes immediately: batching then comes only
     /// from records staged while a flush is in flight, which costs idle
     /// committers no latency at all.
     pub max_wait: Duration,
-    /// Transient append failures retried in place by the leader before
-    /// the batch is failed (nothing persisted, so the identical bytes
-    /// may be re-issued).
-    pub transient_retries: u32,
-    /// Sleep between those retries.
-    pub retry_backoff: Duration,
 }
 
 impl Default for GroupCommitConfig {
     fn default() -> GroupCommitConfig {
         GroupCommitConfig {
             max_records: 64,
-            max_bytes: 1 << 16,
             max_wait: Duration::ZERO,
-            transient_retries: 4,
-            retry_backoff: Duration::from_micros(50),
         }
     }
 }
@@ -115,9 +114,13 @@ pub enum BatchError {
     /// The append succeeded but the durability sync failed: every
     /// record of the batch is in the log, none is confirmed.
     Sync(StoreError),
-    /// This batch never flushed: the batch ahead of it failed and the
-    /// sequence numbers reserved here were rolled back. Nothing
-    /// persisted; retrying the commit is sound.
+    /// The store panicked inside the batch's append or sync (the
+    /// payload's message). The append may have landed, so every record
+    /// of the batch is in doubt.
+    Panicked(String),
+    /// This commit never reached the store: the batch ahead of it
+    /// failed, or the committer is closed after a failed flush.
+    /// Retrying the commit is sound once the committer reopens.
     Cancelled,
 }
 
@@ -126,7 +129,8 @@ impl std::fmt::Display for BatchError {
         match self {
             BatchError::Append(e) => write!(f, "batch append failed: {e}"),
             BatchError::Sync(e) => write!(f, "batch sync failed: {e}"),
-            BatchError::Cancelled => write!(f, "batch cancelled (preceding batch failed)"),
+            BatchError::Panicked(msg) => write!(f, "store panicked during batch flush: {msg}"),
+            BatchError::Cancelled => write!(f, "batch cancelled (a preceding flush failed)"),
         }
     }
 }
@@ -136,14 +140,15 @@ impl std::fmt::Display for BatchError {
 pub struct GroupError {
     /// The batch-level failure.
     pub error: BatchError,
-    /// True for exactly one member per failed batch: the one that
-    /// should run the once-per-batch consequences (health transition,
-    /// fault counter).
+    /// True for exactly one member per failed (not cancelled) batch:
+    /// the one that should run the once-per-batch consequences (health
+    /// transition, fault counter).
     pub primary: bool,
     /// This member's record may have persisted despite the failure
-    /// (sync failures: always; torn appends: when the member's frame
-    /// fits the persisted prefix). The commit was *not* acknowledged —
-    /// the record is in doubt until a checkpoint rewrites the log.
+    /// (sync failures and panics: always; torn appends: when the
+    /// member's frame fits the persisted prefix). The commit was *not*
+    /// acknowledged — the record is in doubt until a checkpoint
+    /// rewrites the log.
     pub in_doubt: bool,
 }
 
@@ -200,22 +205,24 @@ struct State {
     pending: Option<Pending>,
     /// A leader is between take-batch and resolve.
     flushing: bool,
+    /// Sequence number the next staged record takes.
+    next_seq: u64,
+    /// A flush failed: commits are refused until [`GroupCommitter::reopen`].
+    closed: bool,
 }
 
-/// Amortized flush/ack driver over one shard's [`LogWriter`].
-///
-/// A writer driven through a `GroupCommitter` must not also be driven
-/// through [`LogWriter::append_commit`] — the two paths would interleave
-/// sequence reservation and byte delivery (the engine keeps the modes
-/// exclusive per shard).
+/// Amortized flush/ack driver over one shard's log: the sole appender
+/// to its store.
 pub struct GroupCommitter {
-    writer: Arc<LogWriter>,
+    shard: u32,
+    store: Arc<dyn WalStore>,
     config: GroupCommitConfig,
     state: Mutex<State>,
     /// Room-in-batch waits and the leader's accumulation wait.
     cond: Condvar,
     flushes: AtomicU64,
     records_flushed: AtomicU64,
+    retries: AtomicU64,
     /// Called with `(records, bytes)` after each successful flush.
     observer: Mutex<Option<FlushObserver>>,
 }
@@ -224,21 +231,37 @@ pub struct GroupCommitter {
 type FlushObserver = Box<dyn Fn(usize, usize) + Send + Sync>;
 
 impl GroupCommitter {
-    /// A committer over `writer` (which supplies both the sequence
-    /// counter and, via [`LogWriter::store`], the flush target).
-    pub fn new(writer: Arc<LogWriter>, config: GroupCommitConfig) -> Arc<GroupCommitter> {
+    /// A committer appending shard `shard`'s records to `store`,
+    /// numbering the first one `first_seq` (0 for a fresh log; recovery
+    /// passes the successor of the last replayed seq when it continues
+    /// an existing log).
+    pub fn new(
+        shard: u32,
+        store: Arc<dyn WalStore>,
+        first_seq: u64,
+        config: GroupCommitConfig,
+    ) -> Arc<GroupCommitter> {
         Arc::new(GroupCommitter {
-            writer,
+            shard,
+            store,
             config,
             state: Mutex::new(State {
                 pending: None,
                 flushing: false,
+                next_seq: first_seq,
+                closed: false,
             }),
             cond: Condvar::new(),
             flushes: AtomicU64::new(0),
             records_flushed: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
             observer: Mutex::new(None),
         })
+    }
+
+    /// The store the committer flushes to.
+    pub fn store(&self) -> &Arc<dyn WalStore> {
+        &self.store
     }
 
     /// Register a per-flush observer (`(records, bytes)` of each
@@ -258,9 +281,33 @@ impl GroupCommitter {
         self.records_flushed.load(Ordering::Relaxed)
     }
 
+    /// Transient append failures retried in place so far.
+    pub fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
+    }
+
     /// Records currently staged and unflushed (tests, introspection).
     pub fn staged_records(&self) -> usize {
         self.state.lock().pending.as_ref().map_or(0, |p| p.records)
+    }
+
+    /// Sequence number the next staged record will take.
+    pub fn next_seq(&self) -> u64 {
+        self.state.lock().next_seq
+    }
+
+    /// Reopen after a failed flush closed the committer, numbering the
+    /// next record `first_seq`. Nothing may be committing concurrently:
+    /// the engine calls this inside the rejoin checkpoint's quiesce
+    /// fence, after the checkpoint truncated the log (`first_seq` 0).
+    pub fn reopen(&self, first_seq: u64) {
+        let mut state = self.state.lock();
+        debug_assert!(
+            state.pending.is_none() && !state.flushing,
+            "reopen with a commit in flight"
+        );
+        state.next_seq = first_seq;
+        state.closed = false;
     }
 
     /// Stage one commit and block until its batch is flushed and acked
@@ -281,19 +328,30 @@ impl GroupCommitter {
         while self.batch_full(&state) {
             self.cond.wait(&mut state);
         }
-        let pending = state.pending.get_or_insert_with(|| Pending {
+        if state.closed {
+            return Err(GroupError {
+                error: BatchError::Cancelled,
+                primary: false,
+                in_doubt: false,
+            });
+        }
+        let st = &mut *state;
+        let pending = st.pending.get_or_insert_with(|| Pending {
             slot: Slot::new(),
-            first_seq: 0, // set by the first stage below
+            first_seq: st.next_seq,
             records: 0,
             buf: Vec::with_capacity(256),
         });
         let offset = pending.buf.len();
-        let seq = self
-            .writer
-            .stage_commit(epoch, commit_ts, writes, &mut pending.buf);
-        if pending.records == 0 {
-            pending.first_seq = seq;
-        }
+        encode_record(
+            &mut pending.buf,
+            st.next_seq,
+            epoch,
+            commit_ts,
+            self.shard,
+            writes,
+        );
+        st.next_seq += 1;
         pending.records += 1;
         let len = pending.buf.len() - offset;
         let slot = Arc::clone(&pending.slot);
@@ -310,9 +368,10 @@ impl GroupCommitter {
         match slot.wait() {
             Ok(()) => Ok(()),
             Err(error) => {
-                let primary = !slot.primary.fetch_or(true, Ordering::AcqRel);
+                let primary = error != BatchError::Cancelled
+                    && !slot.primary.fetch_or(true, Ordering::AcqRel);
                 let in_doubt = match &error {
-                    BatchError::Sync(_) => true,
+                    BatchError::Sync(_) | BatchError::Panicked(_) => true,
                     BatchError::Append(StoreError::Torn { persisted, .. }) => {
                         offset + len <= *persisted
                     }
@@ -328,9 +387,10 @@ impl GroupCommitter {
     }
 
     fn batch_full(&self, state: &State) -> bool {
-        state.pending.as_ref().is_some_and(|p| {
-            p.records >= self.config.max_records || p.buf.len() >= self.config.max_bytes
-        })
+        state
+            .pending
+            .as_ref()
+            .is_some_and(|p| p.records >= self.config.max_records || p.buf.len() >= MAX_BATCH_BYTES)
     }
 
     /// The leader loop: flush the pending batch, and keep flushing as
@@ -372,20 +432,21 @@ impl GroupCommitter {
                     return;
                 }
                 Err(error) => {
-                    // Fail the flushed batch and cancel everything
-                    // staged after it, then roll the sequence counter
-                    // back over the failed records so the next stage
-                    // continues the contiguous run. After a failed
-                    // sync the flushed records *are* in the log, so
-                    // only the cancelled ones roll back.
-                    let reset_to = match &error {
-                        BatchError::Sync(_) => batch.first_seq + batch.records as u64,
-                        _ => batch.first_seq,
-                    };
+                    // Close before the state lock is released, cancel
+                    // everything staged after the failed batch, and
+                    // roll the sequence counter back over records that
+                    // cannot be in the log: a failed append's (only
+                    // its torn prefix, if anything, landed) and the
+                    // cancelled ones. After a failed sync or a panic
+                    // the flushed records may be in the log.
+                    state.closed = true;
                     if let Some(p) = state.pending.take() {
                         p.slot.resolve(Err(BatchError::Cancelled));
                     }
-                    self.writer.set_next_seq(reset_to);
+                    state.next_seq = match &error {
+                        BatchError::Append(_) => batch.first_seq,
+                        _ => batch.first_seq + batch.records as u64,
+                    };
                     batch.slot.resolve(Err(error));
                     state.flushing = false;
                     self.cond.notify_all();
@@ -395,22 +456,30 @@ impl GroupCommitter {
         }
     }
 
-    /// One append (the whole batch) + one sync, transients retried in
-    /// place (nothing persisted, identical bytes re-issued).
+    /// One append (the whole batch, transients retried in place: nothing
+    /// persisted, identical bytes re-issued) + one sync. A panic in
+    /// either store call becomes [`BatchError::Panicked`].
     fn flush_batch(&self, batch: &Pending) -> Result<(), BatchError> {
-        let store: &Arc<dyn WalStore> = self.writer.store();
-        let mut attempt = 0u32;
-        loop {
-            match store.append(&batch.buf) {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < self.config.transient_retries => {
-                    attempt += 1;
-                    std::thread::sleep(self.config.retry_backoff);
-                }
-                Err(e) => return Err(BatchError::Append(e)),
-            }
-        }
-        store.sync().map_err(BatchError::Sync)
+        let salt = batch.first_seq ^ u64::from(self.shard).rotate_left(32);
+        let flush = || {
+            RetryPolicy::retry(
+                salt,
+                || self.store.append(&batch.buf),
+                || {
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                },
+            )
+            .map_err(BatchError::Append)?;
+            self.store.sync().map_err(BatchError::Sync)
+        };
+        catch_unwind(AssertUnwindSafe(flush)).unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(BatchError::Panicked(msg))
+        })
     }
 }
 
@@ -479,8 +548,30 @@ mod tests {
     }
 
     fn committer(store: &Arc<HarnessStore>, config: GroupCommitConfig) -> Arc<GroupCommitter> {
-        let writer = Arc::new(LogWriter::new(0, Arc::clone(store) as Arc<dyn WalStore>, 0));
-        GroupCommitter::new(writer, config)
+        GroupCommitter::new(0, Arc::clone(store) as Arc<dyn WalStore>, 0, config)
+    }
+
+    #[test]
+    fn committer_produces_contiguous_decodable_log() {
+        let store = MemStore::healthy();
+        let gc = GroupCommitter::new(
+            4,
+            Arc::clone(&store) as Arc<dyn WalStore>,
+            0,
+            GroupCommitConfig::default(),
+        );
+        gc.commit(0, 1, &[(1, 10)]).unwrap();
+        gc.commit(0, 2, &[(2, 20), (3, 30)]).unwrap();
+        gc.commit(1, 1, &[]).unwrap();
+        let (records, tail) = decode_log(&store.log_bytes()).unwrap();
+        assert!(tail.is_clean());
+        assert_eq!(records.len(), 3);
+        assert_eq!(
+            records.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert!(records.iter().all(|r| r.shard == 4));
+        assert_eq!(gc.next_seq(), 3);
     }
 
     #[test]
@@ -545,15 +636,10 @@ mod tests {
     #[test]
     fn transient_flush_failure_rolls_seq_back_for_the_next_batch() {
         let store = HarnessStore::new();
-        let config = GroupCommitConfig {
-            transient_retries: 1,
-            retry_backoff: Duration::ZERO,
-            ..GroupCommitConfig::default()
-        };
-        let gc = committer(&store, config);
+        let gc = committer(&store, GroupCommitConfig::default());
         gc.commit(0, 1, &[(1, 10)]).unwrap();
-        // Fail past the retry budget: 1 retry allowed, 2 failures.
-        store.fail_appends.store(2, Ordering::SeqCst);
+        // Fail past the retry budget: 4 retries allowed, 5 failures.
+        store.fail_appends.store(5, Ordering::SeqCst);
         let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err();
         assert!(matches!(
             err.error,
@@ -561,8 +647,10 @@ mod tests {
         ));
         assert!(err.primary, "sole member of the batch is the primary");
         assert!(!err.in_doubt, "nothing persisted on a transient failure");
-        // The failed batch's seq was rolled back: the next commit
-        // continues the contiguous run.
+        assert_eq!(gc.retries(), 4, "every in-place retry is counted");
+        // The failed batch's seq was rolled back: reopened there, the
+        // next commit continues the contiguous run.
+        gc.reopen(gc.next_seq());
         gc.commit(0, 3, &[(3, 30)]).unwrap();
         let (records, tail) = decode_log(&store.log_bytes()).unwrap();
         assert!(tail.is_clean());
@@ -580,14 +668,11 @@ mod tests {
     #[test]
     fn failed_flush_cancels_the_batch_staged_behind_it() {
         let store = HarnessStore::new();
-        let config = GroupCommitConfig {
-            transient_retries: 0,
-            ..GroupCommitConfig::default()
-        };
-        let gc = committer(&store, config);
+        let gc = committer(&store, GroupCommitConfig::default());
         let gate = Arc::new(Barrier::new(2));
         *store.hold.lock() = Some(Arc::clone(&gate));
         store.fail_appends.store(1, Ordering::SeqCst);
+        *store.fail_error.lock() = Some(StoreError::Permanent("injected".into()));
 
         // Whichever thread wins the state lock leads and fails; the
         // other stages behind it and is cancelled — collect both and
@@ -622,7 +707,9 @@ mod tests {
             .expect("the staged-behind batch is cancelled");
         assert!(!cancelled.in_doubt);
 
-        // Both seqs rolled back: a fresh commit restarts at 0.
+        // Both seqs rolled back: reopened there, a fresh commit
+        // restarts at 0.
+        gc.reopen(gc.next_seq());
         gc.commit(0, 3, &[(3, 30)]).unwrap();
         let (records, tail) = decode_log(&store.log_bytes()).unwrap();
         assert!(tail.is_clean());
@@ -646,6 +733,7 @@ mod tests {
         // Seq was NOT rolled back over the flushed (in-log) records:
         // a later commit appends after them, keeping contiguity.
         store.fail_sync.store(false, Ordering::SeqCst);
+        gc.reopen(gc.next_seq());
         gc.commit(0, 2, &[(2, 20)]).unwrap();
         let (records, tail) = decode_log(&store.log_bytes()).unwrap();
         assert!(tail.is_clean());
@@ -670,13 +758,124 @@ mod tests {
         let err = gc.commit(0, 2, &[(1, 11)]).unwrap_err();
         assert!(err.in_doubt, "frame fits the persisted prefix");
         // And with a mid-frame tear: not in doubt.
+        gc.reopen(gc.next_seq());
         store.fail_appends.store(1, Ordering::SeqCst);
         *store.fail_error.lock() = Some(StoreError::Torn {
             persisted: 3,
             detail: "injected".into(),
         });
         let err = gc.commit(0, 3, &[(1, 12)]).unwrap_err();
+        assert!(matches!(
+            err.error,
+            BatchError::Append(StoreError::Torn { .. })
+        ));
         assert!(!err.in_doubt, "frame torn mid-record cannot replay");
+    }
+
+    #[test]
+    fn failed_flush_closes_the_committer_until_reopen() {
+        let store = HarnessStore::new();
+        let gc = committer(&store, GroupCommitConfig::default());
+        gc.commit(0, 1, &[(1, 10)]).unwrap();
+
+        // A torn append, then a failed sync: after each, the next
+        // commit is cancelled without reaching the store.
+        store.fail_appends.store(1, Ordering::SeqCst);
+        *store.fail_error.lock() = Some(StoreError::Torn {
+            persisted: 3,
+            detail: "injected".into(),
+        });
+        let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err();
+        assert!(matches!(
+            err.error,
+            BatchError::Append(StoreError::Torn { .. })
+        ));
+        let appends = store.appends.load(Ordering::SeqCst);
+        for ts in 3..6 {
+            let err = gc.commit(0, ts, &[(3, ts)]).unwrap_err();
+            assert_eq!(err.error, BatchError::Cancelled);
+            assert!(!err.primary && !err.in_doubt);
+        }
+        assert_eq!(store.appends.load(Ordering::SeqCst), appends);
+        gc.reopen(gc.next_seq());
+        gc.commit(0, 6, &[(6, 60)]).unwrap();
+        assert_eq!(store.appends.load(Ordering::SeqCst), appends + 1);
+
+        store.fail_sync.store(true, Ordering::SeqCst);
+        let err = gc.commit(0, 7, &[(7, 70)]).unwrap_err();
+        assert!(matches!(err.error, BatchError::Sync(_)));
+        store.fail_sync.store(false, Ordering::SeqCst);
+        let appends = store.appends.load(Ordering::SeqCst);
+        let err = gc.commit(0, 8, &[(8, 80)]).unwrap_err();
+        assert_eq!(err.error, BatchError::Cancelled);
+        assert_eq!(store.appends.load(Ordering::SeqCst), appends);
+        gc.reopen(gc.next_seq());
+        gc.commit(0, 9, &[(9, 90)]).unwrap();
+        assert_eq!(store.appends.load(Ordering::SeqCst), appends + 1);
+    }
+
+    #[test]
+    fn panicking_store_resolves_every_waiter() {
+        /// Panics on its first append, then behaves.
+        struct PanicStore {
+            inner: Arc<MemStore>,
+            panicked: AtomicBool,
+        }
+        impl WalStore for PanicStore {
+            fn append(&self, bytes: &[u8]) -> Result<(), StoreError> {
+                if !self.panicked.swap(true, Ordering::SeqCst) {
+                    panic!("injected store panic");
+                }
+                self.inner.append(bytes)
+            }
+            fn log_bytes(&self) -> Vec<u8> {
+                self.inner.log_bytes()
+            }
+            fn snapshot(&self) -> Option<Vec<u8>> {
+                self.inner.snapshot()
+            }
+            fn checkpoint(&self, snapshot: &[u8]) -> Result<(), StoreError> {
+                self.inner.checkpoint(snapshot)
+            }
+        }
+
+        let store = Arc::new(PanicStore {
+            inner: MemStore::healthy(),
+            panicked: AtomicBool::new(false),
+        });
+        let gc = GroupCommitter::new(0, store, 0, GroupCommitConfig::default());
+        // Unscoped threads and a channel: a hung committer fails the
+        // test at the deadline instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handles: Vec<_> = (0..3u64)
+            .map(|i| {
+                let gc = Arc::clone(&gc);
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let _ = tx.send(gc.commit(0, 1 + i, &[(i, i)]));
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut panicked = 0;
+        for _ in 0..3 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let result = rx.recv_timeout(left).expect("a committer hung");
+            let err = result.expect_err("the first append panicked: nothing acks");
+            match err.error {
+                BatchError::Panicked(msg) => {
+                    assert!(msg.contains("injected store panic"), "{msg}");
+                    assert!(err.in_doubt, "the append may have landed");
+                    panicked += 1;
+                }
+                BatchError::Cancelled => assert!(!err.in_doubt),
+                other => panic!("untyped outcome {other:?}"),
+            }
+        }
+        assert!(panicked >= 1, "the leader's batch reports the panic");
+        for h in handles {
+            h.join().expect("the panic was caught inside the leader");
+        }
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! The pieces:
 //!
 //! * [`record::WalRecord`] — the framed on-log record format;
-//! * [`writer::LogWriter`] — serialized append side (seq assignment),
-//!   with a per-commit append path and a group-commit staging path;
-//! * [`group::GroupCommitter`] — amortized flush/ack: many committers
-//!   stage into one batch, one append + one sync acknowledges all of
-//!   them, with typed per-batch failure fan-out;
+//! * [`group::GroupCommitter`] — the only append side: it owns each
+//!   shard log's sequence counter; many committers stage into one
+//!   batch, one append + one sync acknowledges all of them, with typed
+//!   per-batch failure fan-out and a closed state after any failed
+//!   flush;
 //! * [`store::WalStore`] / [`store::MemStore`] / [`store::CrashSwitch`]
-//!   — storage with byte-granular crash simulation and the
-//!   [`store::StoreError`] transient/torn/permanent failure taxonomy;
+//!   — storage with byte-granular crash simulation, the
+//!   [`store::StoreError`] transient/torn/permanent failure taxonomy,
+//!   and the one [`store::RetryPolicy`] for transient errors;
 //! * [`file::FileStore`] — real files: appends, fsync, generation-named
 //!   logs for atomic checkpoints;
 //! * [`fault::FaultStore`] — deterministic seeded fault injection over
@@ -36,7 +37,7 @@
 //!
 //! The backends do not depend on this crate: they publish through
 //! `stm_api::wal::WalSink`, and `stm-engine`'s durable layer adapts
-//! that to a [`writer::LogWriter`].
+//! that to a [`group::GroupCommitter`].
 
 pub mod crc;
 pub mod fault;
@@ -46,7 +47,6 @@ pub mod log;
 pub mod record;
 pub mod snapshot;
 pub mod store;
-pub mod writer;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultStore};
 pub use file::FileStore;
@@ -54,5 +54,4 @@ pub use group::{BatchError, GroupCommitConfig, GroupCommitter, GroupError};
 pub use log::{decode_log, recover_store, replay_onto, Recovery, TailStatus, WalError};
 pub use record::WalRecord;
 pub use snapshot::Snapshot;
-pub use store::{CrashSwitch, MemStore, StoreError, WalStore};
-pub use writer::LogWriter;
+pub use store::{CrashSwitch, MemStore, RetryPolicy, StoreError, WalStore};

@@ -120,8 +120,8 @@ impl WalRecord {
 }
 
 /// The record encoder: append one framed record built from borrowed
-/// parts to `out`. [`WalRecord::encode_into`] and the writer's commit
-/// paths both go through it, so a commit is logged without first
+/// parts to `out`. [`WalRecord::encode_into`] and the group committer's
+/// staging both go through it, so a commit is logged without first
 /// copying its write set into a [`WalRecord`].
 pub(crate) fn encode_record(
     out: &mut Vec<u8>,
