@@ -98,13 +98,11 @@ use stm_wal::{
 /// Word size of the tables (the engine is 64-bit word based).
 const WORD: usize = core::mem::size_of::<usize>();
 
-/// Map a backend write set (`(addr, value)` words) back to the shard's
-/// dense keys, enforcing the no-phantom guard (M1.5): a durable
-/// transaction must only write words of its shard's table — anything
-/// else cannot be replayed, and dying here beats logging garbage.
-fn writes_to_keys(base: usize, words: usize, writes: &[(usize, usize)]) -> Vec<(u64, u64)> {
-    let mut keys: Vec<(u64, u64)> = Vec::with_capacity(writes.len());
-    for &(addr, value) in writes {
+/// The no-phantom guard (M1.5): a durable transaction must only write
+/// words of its shard's table — anything else cannot be replayed, and
+/// dying here beats logging garbage.
+fn assert_in_table(base: usize, words: usize, writes: &[(usize, usize)]) {
+    for &(addr, _) in writes {
         let in_table =
             addr >= base && addr < base + words * WORD && (addr - base).is_multiple_of(WORD);
         assert!(
@@ -113,9 +111,19 @@ fn writes_to_keys(base: usize, words: usize, writes: &[(usize, usize)]) -> Vec<(
             base,
             base + words * WORD
         );
-        keys.push((((addr - base) / WORD) as u64, value as u64));
     }
-    keys
+}
+
+/// Map a (guarded) backend write set of `(addr, value)` words back to
+/// the shard's dense keys, lazily: the committer encodes straight from
+/// it.
+fn to_keys(
+    base: usize,
+    writes: &[(usize, usize)],
+) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+    writes
+        .iter()
+        .map(move |&(addr, value)| (((addr - base) / WORD) as u64, value as u64))
 }
 
 /// Errors building, recovering, or maintaining a [`DurableEngine`].
@@ -273,9 +281,14 @@ impl WalSink for GroupWalSink {
                 self.health.get()
             )));
         }
-        let keys = writes_to_keys(self.base, self.words, writes);
+        // Before the committer's lock: a phantom write dies without
+        // wedging the shard's other committers.
+        assert_in_table(self.base, self.words, writes);
         let epoch = self.epoch_base + epoch;
-        match self.committer.commit(epoch, commit_ts, &keys) {
+        match self
+            .committer
+            .commit(epoch, commit_ts, to_keys(self.base, writes))
+        {
             Ok(()) => Ok(()),
             Err(g) => {
                 // A sync failure leaves every record of the batch in
@@ -286,7 +299,7 @@ impl WalSink for GroupWalSink {
                     self.in_doubt.lock().push(InDoubtCommit {
                         epoch,
                         commit_ts,
-                        writes: keys,
+                        writes: to_keys(self.base, writes).collect(),
                     });
                 }
                 // Cancelled members (staged behind the failed batch, or
@@ -774,6 +787,12 @@ impl<B: ShardBackend> stm_telemetry::MetricsSource for DurableEngine<B> {
                 "Actual health-state changes per shard.",
                 &labels,
                 shard.health.transitions(),
+            );
+            frame.counter(
+                "stm_wal_waiter_parks_total",
+                "Group-commit waiters that parked on the committer's condvar (spin bound exceeded, or batch full).",
+                &labels,
+                shard.committer.parks(),
             );
         }
     }

@@ -265,3 +265,41 @@ fn concurrent_committers_share_flushes() {
     .unwrap();
     assert_eq!(recovered.read_all(), expected);
 }
+
+#[test]
+fn waiters_parked_behind_slow_flushes_are_exported_per_shard() {
+    // A 2 ms append is far past the spin bound: every member staged
+    // behind it parks, and the scrape shows it under its shard label.
+    let engine: DurableEngine<Stm> = DurableEngine::new_grouped(
+        1,
+        KEYS,
+        &StmConfig::default(),
+        vec![Arc::new(SlowStore {
+            inner: MemStore::healthy(),
+        }) as Arc<dyn WalStore>],
+        GroupCommitConfig::default(),
+    )
+    .unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let engine = &engine;
+            scope.spawn(move || {
+                for i in 0..20u64 {
+                    engine.put((t * KEYS_PER_THREAD) as u64, i + 1).unwrap();
+                }
+            });
+        }
+    });
+    let mut frame = stm_telemetry::MetricsFrame::new();
+    stm_telemetry::MetricsSource::collect(&engine, &mut frame);
+    let text = stm_telemetry::render_prometheus(&frame);
+    let parks: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("stm_wal_waiter_parks_total{shard=\"0\"} "))
+        .expect("parks exported for shard 0")
+        .parse()
+        .unwrap();
+    assert!(parks > 0, "no waiter parked behind 2 ms flushes:\n{text}");
+    let problems = stm_telemetry::lint_exposition(&text);
+    assert!(problems.is_empty(), "{problems:?}");
+}

@@ -325,8 +325,8 @@ mod tests {
         let writer_plan = plan(&[(1, FaultKind::TornAppend)]);
         let store = FaultStore::new(MemStore::healthy() as Arc<dyn WalStore>, writer_plan);
         let gc = committer(&store);
-        gc.commit(0, 1, &[(1, 10)]).unwrap();
-        let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err().error;
+        gc.commit(0, 1, [(1, 10)]).unwrap();
+        let err = gc.commit(0, 2, [(2, 20)]).unwrap_err().error;
         assert!(
             matches!(err, BatchError::Append(StoreError::Torn { persisted, .. }) if persisted > 0)
         );
@@ -341,7 +341,7 @@ mod tests {
         };
         store.checkpoint(&snap.encode()).unwrap();
         gc.reopen(0);
-        gc.commit(0, 3, &[(3, 30)]).unwrap();
+        gc.commit(0, 3, [(3, 30)]).unwrap();
         let r = recover_store(&*store).unwrap();
         assert!(r.tail.is_clean());
         assert_eq!(
@@ -390,8 +390,8 @@ mod tests {
             plan(&[(1, FaultKind::SyncFail)]),
         );
         let gc = committer(&store);
-        gc.commit(0, 1, &[(1, 10)]).unwrap();
-        let err = gc.commit(0, 2, &[(2, 20)]).unwrap_err().error;
+        gc.commit(0, 1, [(1, 10)]).unwrap();
+        let err = gc.commit(0, 2, [(2, 20)]).unwrap_err().error;
         assert!(matches!(err, BatchError::Sync(_)), "injected fsync failure");
         // Reopen the real files: everything appended before the failed
         // sync is still a decodable log (the simulated failure did not

@@ -285,7 +285,7 @@ mod tests {
     fn write_commits(store: &Arc<FileStore>, n: u64) {
         let gc = committer(store);
         for i in 0..n {
-            gc.commit(0, i + 1, &[(i, i * 10)]).unwrap();
+            gc.commit(0, i + 1, [(i, i * 10)]).unwrap();
         }
     }
 
@@ -375,7 +375,7 @@ mod tests {
         for i in 0..4u64 {
             // All succeed from the committer's point of view (power
             // cut, not I/O error) even though later bytes never land.
-            gc.commit(0, i + 1, &[(i, i)]).unwrap();
+            gc.commit(0, i + 1, [(i, i)]).unwrap();
         }
         assert!(switch.is_cut());
         store.checkpoint(&Snapshot::default().encode()).unwrap(); // ignored

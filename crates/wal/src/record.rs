@@ -69,7 +69,7 @@ impl WalRecord {
             self.epoch,
             self.commit_ts,
             self.shard,
-            &self.writes,
+            self.writes.iter().copied(),
         );
     }
 
@@ -122,14 +122,15 @@ impl WalRecord {
 /// The record encoder: append one framed record built from borrowed
 /// parts to `out`. [`WalRecord::encode_into`] and the group committer's
 /// staging both go through it, so a commit is logged without first
-/// copying its write set into a [`WalRecord`].
+/// copying its write set into a [`WalRecord`] (or any `Vec` at all: the
+/// engine maps its backend write set to keys on the fly).
 pub(crate) fn encode_record(
     out: &mut Vec<u8>,
     seq: u64,
     epoch: u64,
     commit_ts: u64,
     shard: u32,
-    writes: &[(u64, u64)],
+    writes: impl ExactSizeIterator<Item = (u64, u64)>,
 ) {
     let len = WalRecord::payload_len(writes.len());
     out.reserve(FRAME_HEADER + len);
@@ -141,9 +142,16 @@ pub(crate) fn encode_record(
     out.extend_from_slice(&commit_ts.to_le_bytes());
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-    for &(k, v) in writes {
+    for (k, v) in writes {
         out.extend_from_slice(&k.to_le_bytes());
         out.extend_from_slice(&v.to_le_bytes());
+    }
+    // A miscounting iterator would frame garbage that decodes as
+    // corruption: take the partial frame back out of the (shared batch)
+    // buffer and refuse it.
+    if out.len() - start != FRAME_HEADER + len {
+        out.truncate(start);
+        panic!("write iterator yielded a count other than its len()");
     }
     let crc = crc32(&out[start + FRAME_HEADER..]);
     out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
@@ -217,5 +225,28 @@ mod tests {
             WalRecord::decode_payload(&[], None).unwrap_err(),
             RecordDecodeError::BadStructure
         );
+    }
+
+    #[test]
+    fn miscounted_writes_are_refused_without_a_partial_frame() {
+        /// Claims one write, yields none.
+        struct Liar;
+        impl Iterator for Liar {
+            type Item = (u64, u64);
+            fn next(&mut self) -> Option<(u64, u64)> {
+                None
+            }
+            fn size_hint(&self) -> (usize, Option<usize>) {
+                (1, Some(1))
+            }
+        }
+        impl ExactSizeIterator for Liar {}
+
+        let mut batch = vec![7u8; 3]; // a frame staged before this one
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            encode_record(&mut batch, 0, 0, 0, 0, Liar)
+        }));
+        assert!(refused.is_err());
+        assert_eq!(batch, vec![7u8; 3], "no partial frame left behind");
     }
 }

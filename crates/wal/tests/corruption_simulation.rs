@@ -42,7 +42,7 @@ fn scripted_log(commits: usize, seed: u64) -> (Arc<MemStore>, Vec<u8>, Vec<BTree
             .collect();
         writes.sort_unstable_by_key(|&(k, _)| k);
         writes.dedup_by_key(|&mut (k, _)| k);
-        gc.commit(0, ts, &writes).unwrap();
+        gc.commit(0, ts, writes.iter().copied()).unwrap();
         for &(k, v) in &writes {
             state.insert(k, v);
         }
@@ -184,7 +184,7 @@ fn checkpoint_then_crash_recovers_snapshot_plus_log_tail() {
     let gc = committer(&store);
     let mut state = BTreeMap::new();
     for ts in 1..=10u64 {
-        gc.commit(0, ts, &[(ts % 4, ts * 100)]).unwrap();
+        gc.commit(0, ts, [(ts % 4, ts * 100)]).unwrap();
         state.insert(ts % 4, ts * 100);
     }
     // Checkpoint at epoch 1 (as the engine does inside a quiesce fence),
@@ -192,11 +192,11 @@ fn checkpoint_then_crash_recovers_snapshot_plus_log_tail() {
     let snap = Snapshot::encode_entries(1, state.iter().map(|(&k, &v)| (k, v)));
     store.checkpoint(&snap).unwrap();
     for ts in 1..=5u64 {
-        gc.commit(1, ts, &[(10 + ts, ts)]).unwrap();
+        gc.commit(1, ts, [(10 + ts, ts)]).unwrap();
         state.insert(10 + ts, ts);
     }
     switch.cut_now();
-    gc.commit(1, 6, &[(99, 99)]).unwrap(); // "succeeds", lost
+    gc.commit(1, 6, [(99, 99)]).unwrap(); // "succeeds", lost
     let recovery = recover_store(&*store).unwrap();
     assert_eq!(recovery.snapshot_epoch, 1);
     assert_eq!(recovery.records.len(), 5);
